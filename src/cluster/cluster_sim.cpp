@@ -77,13 +77,25 @@ std::size_t ClusterSimulator::PoolFor(ReplicaRole role) const {
   return kNoPool;
 }
 
+std::shared_ptr<const serving::ServingEngine> ClusterSimulator::EngineFor(
+    const ReplicaSpec& spec) {
+  for (const auto& engine : engines_) {
+    if (engine->hw() == spec.hw && engine->preset() == spec.preset &&
+        engine->model() == spec.model && engine->options() == spec.options) {
+      return engine;
+    }
+  }
+  engines_.push_back(std::make_shared<const serving::ServingEngine>(
+      spec.hw, spec.preset, spec.model, spec.options));
+  return engines_.back();
+}
+
 std::size_t ClusterSimulator::AddReplicaImpl(const ReplicaSpec& spec) {
   Replica r;
   r.id = replicas_.size();
   r.spec = spec;
   r.pool = PoolFor(spec.role);
-  r.engine = std::make_unique<serving::ServingEngine>(spec.hw, spec.preset,
-                                                      spec.model, spec.options);
+  r.engine = EngineFor(spec);
   r.scheduler = std::make_unique<serving::ContinuousBatchScheduler>(
       *r.engine, spec.kv_pool_blocks, spec.block_tokens, spec.max_batch);
   if (!autoscale_spec_) autoscale_spec_ = spec;
@@ -432,9 +444,10 @@ void ClusterSimulator::StepReplicasTo(double deadline) {
     }
     return;
   }
-  // Parallel fan-out.  Each task runs one replica's private scheduler+engine
-  // to the barrier — no shared mutable state (trace hooks write the
-  // replica's own shard; GEMM counters are relaxed atomics) — so the
+  // Parallel fan-out.  Each task runs one replica's private scheduler to the
+  // barrier — no shared mutable state beyond the lock-free engine cost
+  // tables, whose entries do not depend on who fills them (trace hooks write
+  // the replica's own shard; GEMM counters are relaxed atomics) — so the
   // post-barrier fleet state is bit-identical to the serial loop's.  Idle
   // replicas only need their clock snapped to the deadline; do that inline
   // instead of paying a task round-trip, and run one busy replica on this

@@ -1,9 +1,11 @@
 #pragma once
 // Multi-replica cluster simulator: the fleet layer above the single-engine
-// serving loop.  N replicas — each a full Scheduler+ServingEngine over its
-// own paged-KV pool, optionally heterogeneous (A100 next to the paper's
-// target GPU, different presets/models) — advance on a shared simulated
-// clock while a Router places Poisson-trace arrivals.  Replicas can be added
+// serving loop.  N replicas — each a Scheduler over its own paged-KV pool,
+// optionally heterogeneous (A100 next to the paper's target GPU, different
+// presets/models) — advance on a shared simulated clock while a Router
+// places Poisson-trace arrivals.  Replicas with the same hardware, preset,
+// model and engine options price their steps through one shared, thread-safe
+// ServingEngine, so a fleet fills each cost table once.  Replicas can be added
 // or removed mid-run (an autoscaling hook does both automatically — either a
 // legacy fleet-wide signal, or role-typed pools with per-role signals, a
 // cost-aware $/1M-token shrink objective, and a periodic event-pump tick
@@ -292,6 +294,12 @@ class ClusterSimulator {
 
   [[nodiscard]] std::size_t ActiveReplicas() const;
   [[nodiscard]] std::size_t TotalOutstanding() const;
+  /// Distinct ServingEngines behind the fleet's replicas, retired ones
+  /// included: replicas with equal (hw, preset, model, options) share one.
+  [[nodiscard]] std::size_t EngineCount() const {
+    util::RoleGuard role(coordinator_role_);
+    return engines_.size();
+  }
   /// Requests whose KV is currently on the wire between pools.
   [[nodiscard]] std::size_t InMigration() const {
     util::RoleGuard role(coordinator_role_);
@@ -314,7 +322,8 @@ class ClusterSimulator {
   struct Replica {
     std::size_t id = 0;
     ReplicaSpec spec;
-    std::unique_ptr<serving::ServingEngine> engine;
+    /// Shared with every replica whose spec prices the same (see engines_).
+    std::shared_ptr<const serving::ServingEngine> engine;
     std::unique_ptr<serving::ContinuousBatchScheduler> scheduler;
     bool active = true;
     bool killed = false;
@@ -371,6 +380,10 @@ class ClusterSimulator {
   /// role acquisition.
   std::size_t AddReplicaImpl(const ReplicaSpec& spec)
       LIQUID_REQUIRES(coordinator_role_);
+  /// The engine of an earlier replica with the same pricing inputs as
+  /// `spec`, or a new one appended to engines_.
+  std::shared_ptr<const serving::ServingEngine> EngineFor(
+      const ReplicaSpec& spec) LIQUID_REQUIRES(coordinator_role_);
   bool RemoveReplicaImpl(std::size_t id) LIQUID_REQUIRES(coordinator_role_);
   bool KillReplicaImpl(std::size_t id, double now)
       LIQUID_REQUIRES(coordinator_role_);
@@ -504,8 +517,9 @@ class ClusterSimulator {
   /// RoleGuard — so a future change that reaches into fleet state from a
   /// worker task fails the clang -Wthread-safety build instead of flaking a
   /// determinism golden.  There is no runtime lock behind the role; the
-  /// worker tasks only touch their own replica's scheduler/engine (captured
-  /// by raw pointer, state disjoint by construction).  Mutable because
+  /// worker tasks only touch their own replica's scheduler (captured by raw
+  /// pointer, state disjoint by construction) and the engine behind it,
+  /// which may be shared and is safe to query concurrently.  Mutable because
   /// const accessors assert the role too.
   mutable util::ThreadRole coordinator_role_;
 
@@ -514,6 +528,13 @@ class ClusterSimulator {
   RetryPolicy retry_ LIQUID_GUARDED_BY(coordinator_role_);
   DisaggCoordinator coordinator_ LIQUID_GUARDED_BY(coordinator_role_);
   std::vector<Replica> replicas_ LIQUID_GUARDED_BY(coordinator_role_);
+  /// The fleet's distinct engines, one per distinct (hw, preset, model,
+  /// options) added so far, in first-use order.  A replica whose spec
+  /// matches an earlier one shares that engine and its warm cost tables;
+  /// engine queries are thread-safe (see ServingEngine), so replicas that
+  /// share one may step on different worker threads.
+  std::vector<std::shared_ptr<const serving::ServingEngine>> engines_
+      LIQUID_GUARDED_BY(coordinator_role_);
   /// First added spec.
   std::optional<ReplicaSpec> autoscale_spec_
       LIQUID_GUARDED_BY(coordinator_role_);

@@ -27,13 +27,6 @@ AttentionCostConfig AttentionFor(const SystemPreset& preset) {
   return attn;
 }
 
-/// Entry `m` of a cost table, grown on demand.  Unpriced entries hold -1;
-/// every cost is non-negative.
-double& Slot(std::vector<double>& table, std::size_t m) {
-  if (m >= table.size()) table.resize(m + 1, -1.0);
-  return table[m];
-}
-
 }  // namespace
 
 ServingEngine::ServingEngine(simgpu::HardwareSpec hw, SystemPreset preset,
@@ -50,23 +43,19 @@ double ServingEngine::OthersPerLayer(std::size_t batch) const {
 }
 
 double ServingEngine::LayerGemmSeconds(std::size_t m) const {
-  double& seconds = Slot(layer_gemm_seconds_, m);
-  if (seconds < 0) {
-    seconds = simgpu::SimulateGemmSequence(hw_, kernel_, model_.LayerGemms(m));
-  }
-  return seconds;
+  return layer_gemm_seconds_.Get(m, [this](std::size_t rows) {
+    return simgpu::SimulateGemmSequence(hw_, kernel_, model_.LayerGemms(rows));
+  });
 }
 
 double ServingEngine::LmHeadSeconds(std::size_t batch) const {
-  double& seconds = Slot(lm_head_seconds_, batch);
-  if (seconds < 0) {
+  return lm_head_seconds_.Get(batch, [this](std::size_t rows) {
     const simgpu::GemmCall lm_head{
-        GemmShape{batch, static_cast<std::size_t>(model_.vocab),
+        GemmShape{rows, static_cast<std::size_t>(model_.vocab),
                   static_cast<std::size_t>(model_.hidden)},
         1};
-    seconds = simgpu::SimulateGemmSequence(hw_, kernel_, {lm_head});
-  }
-  return seconds;
+    return simgpu::SimulateGemmSequence(hw_, kernel_, {lm_head});
+  });
 }
 
 LayerBreakdown ServingEngine::DecodeLayerBreakdown(std::size_t batch,

@@ -13,9 +13,9 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "serving/attention_model.hpp"
+#include "serving/cost_table.hpp"
 #include "serving/kv_cache.hpp"
 #include "serving/model_config.hpp"
 #include "serving/system_preset.hpp"
@@ -56,6 +56,8 @@ struct EngineOptions {
   /// prefill can monopolize, at the cost of re-reading prior KV for the
   /// attention of each later chunk.
   std::size_t prefill_chunk_tokens = 0;
+
+  bool operator==(const EngineOptions&) const = default;
 };
 
 class ServingEngine {
@@ -89,6 +91,7 @@ class ServingEngine {
                                           std::size_t output_len,
                                           std::size_t cap = 256) const;
 
+  [[nodiscard]] const simgpu::HardwareSpec& hw() const { return hw_; }
   [[nodiscard]] const SystemPreset& preset() const { return preset_; }
   [[nodiscard]] const LlmConfig& model() const { return model_; }
   [[nodiscard]] const EngineOptions& options() const { return options_; }
@@ -129,18 +132,30 @@ class ServingEngine {
   AttentionCostConfig attn_;
 
   /// The simgpu roofline walk is the only expensive term of every cost above
-  /// and depends on one integer, the GEMM row count, so its results live in
-  /// dense tables indexed by that count and filled on first use, so building
-  /// an engine (and a fleet of them) stays cheap.  Attention and "others" are
-  /// a few flops and are computed per call.  Each table holds 8 B per token
-  /// count up to the largest count priced: at most 2 MB of entries for
-  /// Table 1's 256-batch x 1024-token prefill sweep (vector growth may round
-  /// the allocation up to 2x), 64 KB for 8k-token prompts.
-  /// An engine is used by one thread at a time; the tables are not locked.
-  /// Determinism audit: each entry is written once with the double a direct
-  /// computation returns and is only read by index afterwards.
-  mutable std::vector<double> layer_gemm_seconds_;
-  mutable std::vector<double> lm_head_seconds_;
+  /// and depends on one integer, the GEMM row count (the batch, for the LM
+  /// head), so its results live in two CostTables indexed by that count and
+  /// filled on first use; building an engine (and a fleet of them) stays
+  /// cheap.  Attention and "others" are a few flops and are computed per call.
+  ///
+  /// Thread safety: every const member may be called from any number of
+  /// threads at once.  The tables are lock-free and append-only, which is
+  /// what lets identically configured fleet replicas share one engine while
+  /// the parallel runtime steps them on different threads.
+  ///
+  /// Memory: each table is an 8 KB page directory plus one 8 KB page per
+  /// 1024-count range actually priced, so an engine holds 16 KB of
+  /// directories plus 8 KB per touched range: one page per table for decode
+  /// batches up to 1023, 72 KB of pages for prompts up to 8k tokens, about
+  /// 2 MB for Table 1's 256-batch x 1024-token prefill sweep, and never more
+  /// than 8 MB per table.  Counts past CostTable::kCapacity (~1M rows) are
+  /// priced directly on every call.
+  ///
+  /// Determinism audit: a slot only ever holds -1 or the exact double a
+  /// direct computation returns for its count, and it is only read by index,
+  /// so a cached cost never depends on query order or on which thread filled
+  /// it.
+  mutable CostTable layer_gemm_seconds_;
+  mutable CostTable lm_head_seconds_;
 };
 
 }  // namespace liquid::serving

@@ -25,6 +25,8 @@ struct LlmConfig {
   int experts = 1;            ///< 1 for dense models
   int experts_per_token = 1;  ///< top-k routing (2 for Mixtral)
 
+  bool operator==(const LlmConfig&) const = default;
+
   /// GEMM calls for one decoder layer at `batch` tokens in flight (decode
   /// step).  MoE FFNs are emitted as grouped GEMMs: `experts` GEMMs of
   /// batch * experts_per_token / experts tokens each (balanced routing).

@@ -36,6 +36,9 @@ struct SystemPreset {
   /// Non-layer framework memory (weights workspace, CUDA graphs, etc.).
   double base_memory_bytes = 1.5e9;
   bool supports_moe = true;
+
+  bool operator==(const SystemPreset&) const = default;
+
   /// Weight-only / weight-activation storage bits for GEMM weights.
   [[nodiscard]] double WeightBits() const;
   /// Quantization-parameter overhead per weight element, in bits (group

@@ -35,6 +35,8 @@ struct HardwareSpec {
   /// Kernel launch latency, charged per non-persistent grouped-GEMM launch.
   double kernel_launch_seconds = 3e-6;
 
+  bool operator==(const HardwareSpec&) const = default;
+
   static HardwareSpec A100();
   static HardwareSpec H100();
   /// H800: H100 silicon with reduced NVLink; on-die metrics match H100 and

@@ -181,6 +181,8 @@ TEST(AutoscaleTest, DecodeBoundFleetGrowsDecodePoolNotFirstSpec) {
   sim.AddReplica(Spec(ReplicaRole::kPrefill));
   sim.AddReplica(Spec(ReplicaRole::kDecode));
   sim.AddReplica(Spec(ReplicaRole::kDecode));
+  // The chunked prefill spec and the decode spec price steps differently.
+  ASSERT_EQ(sim.EngineCount(), 2u);
 
   // Decode-bound mix: short prompts, long outputs — continuations pile up
   // on the decode pool while the prefill replica stays nearly idle.
@@ -203,6 +205,8 @@ TEST(AutoscaleTest, DecodeBoundFleetGrowsDecodePoolNotFirstSpec) {
   }
   EXPECT_EQ(prefill_total, 1u);
   EXPECT_GT(decode_total, 2u);
+  // Every scale-up reused the decode pool's warm engine.
+  EXPECT_EQ(sim.EngineCount(), 2u);
 }
 
 TEST(AutoscaleTest, VictimScanNeverRetiresLastReplicaOfARole) {
