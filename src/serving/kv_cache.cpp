@@ -2,8 +2,63 @@
 
 #include <cassert>
 #include <numeric>
+#include <utility>
 
 namespace liquid::serving {
+
+namespace {
+
+/// First capacity (slots) a PrefixIndex allocates: 192 B.
+constexpr std::size_t kInitialIndexSlots = 16;
+
+}  // namespace
+
+void PrefixIndex::Add(std::uint64_t hash) {
+  if (const std::size_t i = Find(hash); i != kAbsent) {
+    ++slots_[i].count;
+    return;
+  }
+  // A new hash: keep the table at most 7/8 full after the insert.
+  if (8 * (size_ + 1) > 7 * slots_.size()) Grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = HomeSlot(hash, slots_.size());
+  while (slots_[i].count != 0) i = (i + 1) & mask;
+  slots_[i] = {hash, 1};
+  ++size_;
+}
+
+void PrefixIndex::Remove(std::uint64_t hash) {
+  std::size_t hole = Find(hash);
+  if (hole == kAbsent || --slots_[hole].count > 0) return;
+  // Backward-shift deletion: walk the probe run after the hole and pull back
+  // every entry whose probe path from its home crosses the hole (its home is
+  // not cyclically in (hole, j]), so every remaining entry stays reachable
+  // from its home without tombstones.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; slots_[j].count != 0;
+       j = (j + 1) & mask) {
+    const std::size_t home = HomeSlot(slots_[j].hash, slots_.size());
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].count = 0;
+  --size_;
+}
+
+void PrefixIndex::Grow() {
+  const std::vector<Slot> old = std::exchange(
+      slots_, std::vector<Slot>(slots_.empty() ? kInitialIndexSlots
+                                               : 2 * slots_.size()));
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.count == 0) continue;
+    std::size_t i = HomeSlot(s.hash, slots_.size());
+    while (slots_[i].count != 0) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
 
 KvBlockManager::KvBlockManager(std::size_t total_blocks,
                                std::size_t block_tokens)
@@ -80,11 +135,10 @@ bool KvBlockManager::Fork(SeqId parent, SeqId child) {
 }
 
 void KvBlockManager::Free(SeqId id) {
-  auto it = sequences_.find(id);
+  const auto it = sequences_.find(id);
   if (it == sequences_.end()) return;
-  for (const std::size_t block : it->second.blocks) ReleaseBlock(block);
   UnregisterPrefix(it->second);
-  sequences_.erase(it);
+  Erase(it);
 }
 
 KvExport KvBlockManager::Export(SeqId id) {
@@ -92,11 +146,20 @@ KvExport KvBlockManager::Export(SeqId id) {
   out.id = id;
   const auto it = sequences_.find(id);
   if (it == sequences_.end()) return out;
-  out.tokens = it->second.tokens;
-  out.blocks = it->second.blocks.size();
-  out.prefix_hashes = it->second.prefix_hashes;
-  Free(id);
+  Sequence& seq = it->second;
+  out.tokens = seq.tokens;
+  out.blocks = seq.blocks.size();
+  // Unpublish, then hand the sequence's own hash vector to the export: the
+  // local copy is about to be erased anyway.
+  UnregisterPrefix(seq);
+  out.prefix_hashes = std::move(seq.prefix_hashes);
+  Erase(it);
   return out;
+}
+
+void KvBlockManager::Erase(SequenceMap::iterator it) {
+  for (const std::size_t block : it->second.blocks) ReleaseBlock(block);
+  sequences_.erase(it);
 }
 
 bool KvBlockManager::Import(const KvExport& exported) {
@@ -110,7 +173,7 @@ void KvBlockManager::RegisterPrefix(SeqId id,
                                     std::span<const std::uint64_t> hashes) {
   const auto it = sequences_.find(id);
   if (it == sequences_.end()) return;
-  UnregisterPrefix(it->second);
+  UnregisterPrefix(it->second);  // the assign below replaces the hashes
   it->second.prefix_hashes.assign(hashes.begin(), hashes.end());
   for (const std::uint64_t h : it->second.prefix_hashes) prefix_index_.Add(h);
 }
@@ -122,9 +185,8 @@ std::span<const std::uint64_t> KvBlockManager::RegisteredPrefix(
   return it->second.prefix_hashes;
 }
 
-void KvBlockManager::UnregisterPrefix(Sequence& seq) {
+void KvBlockManager::UnregisterPrefix(const Sequence& seq) {
   for (const std::uint64_t h : seq.prefix_hashes) prefix_index_.Remove(h);
-  seq.prefix_hashes.clear();
 }
 
 std::size_t KvBlockManager::SequenceTokens(SeqId id) const {

@@ -5,6 +5,7 @@
 // copy-on-write on append, and exact accounting the serving engine uses to
 // decide the out-of-memory points of Table 1.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -21,17 +22,21 @@ using SeqId = std::uint64_t;
 /// placement by the longest leading run of a request's signature found here;
 /// the scheduler skips that run's prefill compute.  Counts are references
 /// (several sequences can hold the same preamble), so a block's hash leaves
-/// the index only when its last holder frees.
+/// the index only when its last holder frees; removing an absent hash is a
+/// no-op.
+///
+/// Storage is one flat open-addressing table: a power-of-two vector of
+/// {hash, count} slots where count 0 marks an empty slot, linear probing
+/// from a multiplicative (Fibonacci) home slot, and backward-shift deletion,
+/// so there are no tombstones.  It allocates nothing until the first Add,
+/// doubles when an insert would pass 7/8 full, and never shrinks: once grown
+/// to a replica's working set, Add and Remove neither allocate nor free.
 class PrefixIndex {
  public:
-  void Add(std::uint64_t hash) { ++counts_[hash]; }
-  void Remove(std::uint64_t hash) {
-    const auto it = counts_.find(hash);
-    if (it == counts_.end()) return;
-    if (--it->second == 0) counts_.erase(it);
-  }
+  void Add(std::uint64_t hash);
+  void Remove(std::uint64_t hash);
   [[nodiscard]] bool Contains(std::uint64_t hash) const {
-    return counts_.contains(hash);
+    return Find(hash) != kAbsent;
   }
   /// Longest leading run of `hashes` resident here — the contiguous prefix a
   /// prefill on this replica could reuse.  Stops at the first miss: rolling
@@ -41,19 +46,59 @@ class PrefixIndex {
       std::span<const std::uint64_t> hashes) const {
     std::size_t run = 0;
     for (const std::uint64_t h : hashes) {
-      if (!counts_.contains(h)) break;
+      if (!Contains(h)) break;
       ++run;
     }
     return run;
   }
-  [[nodiscard]] std::size_t size() const { return counts_.size(); }
-  [[nodiscard]] bool empty() const { return counts_.empty(); }
+  /// Distinct resident hashes.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Slots allocated (0 before the first Add; a power of two after).
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+
+  /// Slot a hash probes first in a table of `capacity` slots (a power of
+  /// two): the top log2(capacity) bits of hash × 2^64/φ.  Public so tests
+  /// can build keys that collide.
+  [[nodiscard]] static std::size_t HomeSlot(std::uint64_t hash,
+                                            std::size_t capacity) {
+    return static_cast<std::size_t>(
+        (hash * 0x9E3779B97F4A7C15ull) >> (64 - std::countr_zero(capacity)));
+  }
 
  private:
-  /// Determinism audit: lookup/refcount only (Add/Remove/Contains/
-  /// SharedPrefixBlocks) — never iterated, so the unordered layout cannot
-  /// leak into stats or routing.
-  std::unordered_map<std::uint64_t, std::uint32_t> counts_;
+  // Packed to 12 bytes (4-byte aligned): a quarter less memory per slot
+  // than the naturally padded 16, for the same one-load hash compare on
+  // targets with unaligned loads.
+#pragma pack(push, 4)
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t count = 0;  ///< 0 = empty slot
+  };
+#pragma pack(pop)
+  static_assert(sizeof(Slot) == 12);
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  /// Index of `hash`'s slot, or kAbsent.
+  [[nodiscard]] std::size_t Find(std::uint64_t hash) const {
+    if (slots_.empty()) return kAbsent;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = HomeSlot(hash, slots_.size());;
+         i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.count == 0) return kAbsent;
+      if (s.hash == hash) return i;
+    }
+  }
+  void Grow();
+
+  /// Determinism audit: which slot holds a hash is a pure function of the
+  /// Add/Remove sequence (fixed multiplier, fixed probe order, fixed growth
+  /// points), so the layout is reproducible run to run.  Even so, nothing
+  /// observable depends on it: Grow is the only walk over the slots, and it
+  /// only reinserts them; every query is a keyed lookup.
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;  ///< occupied slots
 };
 
 /// Descriptor of a sequence's KV state detached from any one block manager —
@@ -146,16 +191,21 @@ class KvBlockManager {
     std::vector<std::uint64_t> prefix_hashes;
   };
 
+  using SequenceMap = std::unordered_map<SeqId, Sequence>;
+
   std::optional<std::size_t> AllocBlock();
   void ReleaseBlock(std::size_t block);
-  void UnregisterPrefix(Sequence& seq);
+  /// Drops the sequence's hashes from the index; its own list is untouched.
+  void UnregisterPrefix(const Sequence& seq);
+  /// Releases the sequence's blocks and forgets it (no index update).
+  void Erase(SequenceMap::iterator it);
 
   std::size_t block_tokens_;
   std::vector<std::uint32_t> ref_counts_;
   std::vector<std::size_t> free_list_;
   /// Determinism audit: keyed lookup/erase only — never iterated; block
   /// accounting walks the vectors above instead.
-  std::unordered_map<SeqId, Sequence> sequences_;
+  SequenceMap sequences_;
   std::size_t cow_count_ = 0;
   PrefixIndex prefix_index_;
 };

@@ -65,8 +65,8 @@ std::size_t ContinuousBatchScheduler::CachedPrefixTokens(
                   request.prompt_tokens > 0 ? request.prompt_tokens - 1 : 0);
 }
 
-double ContinuousBatchScheduler::PrefillCharge(const Request& request) const {
-  const std::size_t cached = CachedPrefixTokens(request);
+double ContinuousBatchScheduler::PrefillCharge(const Request& request,
+                                               std::size_t cached) const {
   // With a cached prefix, only the suffix is computed; its attention still
   // reads the cached tokens (same shape as a later chunk of a chunked
   // prefill, so it is priced the same way).
@@ -134,7 +134,7 @@ void ContinuousBatchScheduler::Admit() {
     } else {
       // Prefill for the admitted sequence happens in this iteration; charge
       // it (minus the cached-prefix discount).
-      const double prefill = PrefillCharge(next);
+      const double prefill = PrefillCharge(next, cached);
       stats_.simulated_seconds += prefill;
       stats_.busy_seconds += prefill;
       if (trace_ != nullptr) {

@@ -236,8 +236,10 @@ class ContinuousBatchScheduler {
   /// credit and the live index overlap at admission time (capped so a full
   /// hit still recomputes the last token for logits).
   [[nodiscard]] std::size_t CachedPrefixTokens(const Request& request) const;
-  /// Prefill charge for a request, honoring its cached-prefix credit.
-  [[nodiscard]] double PrefillCharge(const Request& request) const;
+  /// Prefill charge for a request whose first `cached` prompt tokens are
+  /// resident (its CachedPrefixTokens at admission).
+  [[nodiscard]] double PrefillCharge(const Request& request,
+                                     std::size_t cached) const;
 
   const ServingEngine& engine_;
   KvBlockManager pool_;
