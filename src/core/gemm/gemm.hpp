@@ -90,8 +90,17 @@ MatrixF GemmW4A16(const MatrixF& x, const W4A16Weights& w,
 
 // --- W4A8 -------------------------------------------------------------------
 
-/// LiquidGEMM main loop over linearly packed registers: SWAR dequant (Eq. 12)
-/// then INT8 MMA, channel/token scales in the epilogue.
+/// LiquidGEMM main loop over linearly packed registers: Eq. 12 dequant then
+/// INT8 MMA, channel/token scales in the epilogue.  The reference and
+/// portable providers dequantize with SWAR; the AVX2 provider never builds
+/// INT8 weights and applies Eq. 12 as a per-group scale and offset instead.
+///
+/// Precondition, validated for every provider: each stored code q satisfies
+/// q*s + a <= 255 for its group's (s, a) — the Section 4 bound that keeps
+/// Eq. 12 inside UINT8 and makes it the exact map q*s + a - 128.  Every
+/// QuantizeWeightsLqq output meets it; a weight whose parameters were edited
+/// so that a code overflows throws std::invalid_argument, as a shape
+/// mismatch does.
 MatrixF GemmW4A8Liquid(const QuantizedActivations& x, const LqqWeights& w,
                        GemmProvider provider = GemmProvider::kAuto);
 

@@ -1,7 +1,6 @@
 #include "core/quant/liquid_quant.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -63,8 +62,18 @@ LqqWeights QuantizeSecondLevelLqq(const FirstLevelResult& first,
         gmin = std::min(gmin, v);
         gmax = std::max(gmax, v);
       }
-      assert(gmin >= -kProtectiveMax && gmax <= kProtectiveMax &&
-             "first level must enforce the protective range");
+      // The overflow proof, and with it the exactness of every W4A8 kernel,
+      // needs the protective range; a hand-built FirstLevelResult may not
+      // respect it.
+      if (gmin < -kProtectiveMax || gmax > kProtectiveMax) {
+        throw std::invalid_argument(
+            "QuantizeSecondLevelLqq: row " + std::to_string(row) +
+            " group " + std::to_string(gi) + " spans [" +
+            std::to_string(gmin) + ", " + std::to_string(gmax) +
+            "], outside the protective range [-" +
+            std::to_string(kProtectiveMax) + ", " +
+            std::to_string(kProtectiveMax) + "]");
+      }
       const std::uint32_t range = static_cast<std::uint32_t>(gmax - gmin);
       // s_u8 = ceil(range / 15), clamped to >= 1.  Ceiling (rather than
       // nearest) guarantees round(q_u8 / s) <= 15; with the protective range,

@@ -73,7 +73,9 @@ struct LqqOptions {
 };
 
 /// Second level only: INT8 (protective range) -> packed UINT4 + group params.
-/// Requires k to be a multiple of group_size and group_size a multiple of 8.
+/// Throws std::invalid_argument unless k is a multiple of group_size,
+/// group_size a multiple of 8, and every value within the protective range
+/// [-kProtectiveMax, kProtectiveMax] the overflow proof needs.
 LqqWeights QuantizeSecondLevelLqq(const FirstLevelResult& first,
                                   LqqOptions options = {});
 

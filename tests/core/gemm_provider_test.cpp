@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -131,12 +133,24 @@ TEST_P(ProviderParity, W8A8ExactOnRaggedShapes) {
 
 TEST_P(ProviderParity, W4A8LiquidExactOnRaggedShapes) {
   const GemmProvider provider = GetParam();
+  // The AVX2 main loop tiles 4 tokens x 2 weight rows in 32-row panels and
+  // reads 64 codes (8 registers) per load; these shapes cover every remainder.
   const struct { std::size_t m, n, k, group; } shapes[] = {
-      {1, 5, 40, 8},     // 5 registers: below the 8-register vector chunk
-      {3, 33, 72, 8},    // 9 registers per group boundary: vector + tail
-      {16, 7, 96, 16},   //
-      {4, 12, 128, 64},  // paper-default group, one vector chunk per group
-      {2, 3, 320, 64},   // several chunks per row
+      {1, 5, 40, 8},      // K tail only: 5 registers, no full 64-code load
+      {3, 33, 72, 8},     // one load plus a 1-register K tail
+      {16, 7, 96, 16},    //
+      {4, 12, 128, 64},   // paper-default group, one load per group
+      {2, 3, 320, 64},    // several loads per row
+      {5, 33, 128, 64},   // M and N off the tile; N spills into a 2nd panel
+      {7, 70, 192, 64},   // 3 panels, the last one ragged
+      {6, 9, 96, 24},     // 3-register groups straddle the 64-code loads
+      {5, 6, 128, 32},    // two groups per load
+      {7, 4, 200, 40},    // 5-register groups, 8-code K tail
+      {4, 5, 288, 96},    // 12-register groups: a load spans two groups
+      {9, 5, 256, 128},   // two loads per group
+      {4, 3, 512, 256},   // four loads per group; int16 sums at their limit
+      {3, 4, 1024, 512},  // group sums split so each fits int16
+      {2, 3, 248, 8},     // 56-code K tail
   };
   for (const auto& s : shapes) {
     const Problem p = MakeProblem(s.m, s.n, s.k, 20 + s.k + s.group);
@@ -145,6 +159,109 @@ TEST_P(ProviderParity, W4A8LiquidExactOnRaggedShapes) {
     const MatrixF got = GemmW4A8Liquid(p.xq, wq, provider);
     ExpectBitIdentical(ref, got, provider, "W4A8Liquid");
   }
+}
+
+TEST_P(ProviderParity, W4A8LiquidExactAtExtremeMagnitudes) {
+  // Every activation at full scale and every group at the largest scale the
+  // quantizer emits (s = 16, codes 0 and 15): the int16 pair sums and group
+  // sums of the AVX2 loop sit at their bounds.  One more token row of -128,
+  // which the per-token quantizer never emits but the kernels must accept.
+  const GemmProvider provider = GetParam();
+  for (const std::size_t group : {8u, 32u, 64u, 256u, 512u}) {
+    const std::size_t m = 6;
+    const std::size_t n = 5;
+    const std::size_t k = 512;
+    MatrixF w(n, k);
+    MatrixF x(m, k);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < k; ++c) {
+        w.At(r, c) = ((c + r) % 2 == 0 ? 1.0f : -1.0f) * (0.5f + 0.1f * r);
+      }
+    }
+    for (std::size_t t = 0; t < m - 1; ++t) {
+      for (std::size_t c = 0; c < k; ++c) {
+        // Token 0 matches weight row 0's signs (the largest dot), token 1 is
+        // all +1, the rest follow the column index.
+        const bool plus = t == 0 ? c % 2 == 0 : t == 1 || (c / (t + 1)) % 2;
+        x.At(t, c) = plus ? 2.0f : -2.0f;
+      }
+    }
+    const LqqWeights wq = QuantizeWeightsLqq(w, {group});
+    for (const LqqGroupParams& p : wq.group_params) {
+      ASSERT_EQ(p.scale, 16);
+      ASSERT_EQ(p.offset, 128 - kProtectiveMax);
+    }
+    ASSERT_EQ(wq.U4At(0, 0), 15);
+    QuantizedActivations xq = QuantizeActivationsPerToken(x);
+    for (std::size_t t = 0; t < m - 1; ++t) {
+      for (std::size_t c = 0; c < k; ++c) {
+        ASSERT_EQ(std::abs(xq.q.At(t, c)), 127);
+      }
+    }
+    for (std::size_t c = 0; c < k; ++c) xq.q.At(m - 1, c) = -128;
+    const MatrixF ref = GemmW4A8Liquid(xq, wq, GemmProvider::kReference);
+    const MatrixF got = GemmW4A8Liquid(xq, wq, provider);
+    ExpectBitIdentical(ref, got, provider, "W4A8Liquid-extreme");
+  }
+}
+
+TEST_P(ProviderParity, W4A8LiquidRejectsCodesAboveTheBound) {
+  // Raising one group's offset until its largest code leaves Eq. 12's UINT8
+  // domain breaks the Section 4 bound; every provider refuses the weight.
+  const GemmProvider provider = GetParam();
+  Problem p = MakeProblem(3, 9, 256, 80);
+  // Row 1, group 2: the row's absmax sits at the group's first code alone
+  // (register 0, lane 0), so only that code can overflow.
+  p.w.At(1, 128) = 1.0f;
+  // Row 3, group 1: values span [-106, 119], so s = 15 and the top code is
+  // 15; with a = 256 - 15*15 the bound 15*s + a is exactly 256.
+  for (std::size_t c = 64; c < 128; ++c) {
+    p.w.At(3, c) = (c % 2 == 0 ? 1.0f : -106.0f / 119.0f) * 0.5f;
+  }
+  LqqWeights wq = QuantizeWeightsLqq(p.w);
+  ASSERT_NO_THROW(GemmW4A8Liquid(p.xq, wq, provider));
+  // Rows 7 and 8 hold groups 31 and 32 of the weight, either side of the
+  // first 32-group block the parameter scan clears at once.
+  const struct { std::size_t row, group; } cases[] = {
+      {1, 2}, {3, 1}, {7, 3}, {8, 0}};
+  for (const auto& c : cases) {
+    LqqGroupParams& params =
+        wq.group_params[c.row * wq.GroupsPerRow() + c.group];
+    const LqqGroupParams saved = params;
+    int top = 0;
+    for (std::size_t k = c.group * 64; k < (c.group + 1) * 64; ++k) {
+      top = std::max<int>(top, wq.U4At(c.row, k));
+    }
+    params.offset = static_cast<std::uint8_t>(256 - top * params.scale);
+    EXPECT_THROW(GemmW4A8Liquid(p.xq, wq, provider), std::invalid_argument)
+        << "row " << c.row << " group " << c.group;
+    params = saved;
+  }
+  // The two crafted groups are what the cases above claim.
+  EXPECT_EQ(wq.U4At(1, 128), 15);
+  for (std::size_t k = 129; k < 192; ++k) EXPECT_LT(wq.U4At(1, k), 15);
+  EXPECT_EQ(wq.Params(3, 1).scale, 15);
+  EXPECT_EQ(wq.U4At(3, 64), 15);
+}
+
+TEST_P(ProviderParity, W4A8LiquidAcceptsGroupsOnlyTheirCodesProveSafe) {
+  // A row whose first-level values span [-107, 119] quantizes to s = 16,
+  // a = 21: 15*s + a = 261 fails the parameter-only bound, but the largest
+  // stored code is round(226 / 16) = 14 and 14*16 + 21 = 245 <= 255.
+  const GemmProvider provider = GetParam();
+  Problem p = MakeProblem(5, 3, 128, 90);
+  for (std::size_t c = 0; c < 128; ++c) {
+    p.w.At(1, c) = (c % 3 == 0 ? 1.0f : -107.0f / 119.0f) * 0.05f;
+  }
+  const LqqWeights wq = QuantizeWeightsLqq(p.w);
+  bool unproven = false;
+  for (const LqqGroupParams& g : wq.group_params) {
+    unproven |= 15 * g.scale + g.offset > 255;
+  }
+  ASSERT_TRUE(unproven);
+  const MatrixF ref = GemmW4A8Liquid(p.xq, wq, GemmProvider::kReference);
+  const MatrixF got = GemmW4A8Liquid(p.xq, wq, provider);
+  ExpectBitIdentical(ref, got, provider, "W4A8Liquid-unproven-groups");
 }
 
 TEST_P(ProviderParity, W4A8QserveExactOnRaggedShapes) {

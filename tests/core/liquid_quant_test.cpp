@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -121,6 +122,21 @@ TEST(LiquidQuantTest, ConstantGroupIsExact) {
   for (std::size_t k = 0; k < 64; ++k) {
     EXPECT_NEAR(rec.At(0, k), 0.25f, 0.25f / 119.0f);
   }
+}
+
+TEST(LiquidQuantTest, SecondLevelRejectsValuesOutsideProtectiveRange) {
+  // Validated in every build type: the overflow proof needs |Q_i8| <= 119.
+  for (const std::int8_t bad : {std::int8_t{120}, std::int8_t{-120},
+                                std::int8_t{-128}, std::int8_t{127}}) {
+    FirstLevelResult first{MatrixI8(2, 64), {1.0f, 1.0f}};
+    first.q.At(1, 37) = bad;
+    EXPECT_THROW(QuantizeSecondLevelLqq(first), std::invalid_argument)
+        << "value " << static_cast<int>(bad);
+  }
+  FirstLevelResult edge{MatrixI8(1, 64), {1.0f}};
+  edge.q.At(0, 0) = static_cast<std::int8_t>(kProtectiveMax);
+  edge.q.At(0, 1) = static_cast<std::int8_t>(-kProtectiveMax);
+  EXPECT_NO_THROW(QuantizeSecondLevelLqq(edge));
 }
 
 TEST(LiquidQuantTest, U4AccessorMatchesPackedRegisters) {
