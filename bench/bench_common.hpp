@@ -1,16 +1,65 @@
 #pragma once
 // Shared helpers for the paper-reproduction bench binaries.
 
+#include <sys/resource.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
+
+#include "core/gemm/provider.hpp"
 #include "serving/engine.hpp"
 #include "simgpu/gemm_sim.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
+#ifndef LIQUID_BUILD_TYPE
+#define LIQUID_BUILD_TYPE "unknown"
+#endif
+
 namespace liquid::bench {
+
+/// Host facts a wall-clock number depends on, so two artifacts can be
+/// compared: they are reported next to the measurements, never gated.
+struct Provenance {
+  unsigned hardware_threads = std::thread::hardware_concurrency();
+#if defined(_OPENMP)
+  int omp_max_threads = omp_get_max_threads();
+#else
+  int omp_max_threads = 1;
+#endif
+  std::string provider = GemmProviderName(ActiveGemmProvider());
+  std::string build_type = LIQUID_BUILD_TYPE;
+
+  [[nodiscard]] std::string Line() const {
+    return "hardware_threads=" + std::to_string(hardware_threads) +
+           " omp_max_threads=" + std::to_string(omp_max_threads) +
+           " provider=" + provider + " build_type=" + build_type;
+  }
+  /// Emits `"provenance": {...}` into an open JSON object.
+  void Write(JsonWriter& w) const {
+    w.Key("provenance").BeginObject();
+    w.Key("hardware_threads").Number(std::uint64_t{hardware_threads});
+    w.Key("omp_max_threads").Number(std::int64_t{omp_max_threads});
+    w.Key("gemm_provider").String(provider);
+    w.Key("build_type").String(build_type);
+    w.EndObject();
+  }
+};
+
+/// This process's peak resident set so far, in MB.
+inline double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
+}
 
 inline const simgpu::HardwareSpec& H800() {
   static const simgpu::HardwareSpec hw = simgpu::HardwareSpec::H800();

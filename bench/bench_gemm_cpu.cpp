@@ -24,12 +24,8 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
+#include "bench_common.hpp"
 #include "core/gemm/gemm.hpp"
 #include "util/rng.hpp"
 #include "util/wall_timer.hpp"
@@ -171,34 +167,14 @@ void RegisterPerProviderBenchmarks() {
 
 // --- provenance --------------------------------------------------------------
 
-#ifndef LIQUID_BUILD_TYPE
-#define LIQUID_BUILD_TYPE "unknown"
-#endif
-
-struct Provenance {
-  unsigned hardware_threads = std::thread::hardware_concurrency();
-#if defined(_OPENMP)
-  int omp_max_threads = omp_get_max_threads();
-#else
-  int omp_max_threads = 1;
-#endif
-  std::string provider = GemmProviderName(ActiveGemmProvider());
-  std::string build_type = LIQUID_BUILD_TYPE;
-
-  [[nodiscard]] std::string Line() const {
-    return "hardware_threads=" + std::to_string(hardware_threads) +
-           " omp_max_threads=" + std::to_string(omp_max_threads) +
-           " provider=" + provider + " build_type=" + build_type;
-  }
-  void AddToBenchmarkContext() const {
-    benchmark::AddCustomContext("hardware_threads",
-                                std::to_string(hardware_threads));
-    benchmark::AddCustomContext("omp_max_threads",
-                                std::to_string(omp_max_threads));
-    benchmark::AddCustomContext("gemm_provider", provider);
-    benchmark::AddCustomContext("build_type", build_type);
-  }
-};
+void AddToBenchmarkContext(const bench::Provenance& p) {
+  benchmark::AddCustomContext("hardware_threads",
+                              std::to_string(p.hardware_threads));
+  benchmark::AddCustomContext("omp_max_threads",
+                              std::to_string(p.omp_max_threads));
+  benchmark::AddCustomContext("gemm_provider", p.provider);
+  benchmark::AddCustomContext("build_type", p.build_type);
+}
 
 // --- gate mode ---------------------------------------------------------------
 
@@ -216,7 +192,7 @@ double BestOfMs(int reps, Fn&& gemm) {
 /// >= 3x, and AVX2 LiquidGEMM must be no slower than AVX2 W8A8 on the same
 /// problem.  Returns the process exit code.
 int CheckSpeedup() {
-  const Provenance provenance;
+  const bench::Provenance provenance;
   std::printf("check-speedup: %s\n", provenance.Line().c_str());
   if (!GemmProviderAvailable(GemmProvider::kAvx2)) {
     std::printf(
@@ -269,7 +245,7 @@ int main(int argc, char** argv) {
   }
   RegisterPerProviderBenchmarks();
   benchmark::Initialize(&argc, argv);
-  Provenance().AddToBenchmarkContext();
+  AddToBenchmarkContext(bench::Provenance());
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

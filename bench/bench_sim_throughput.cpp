@@ -20,8 +20,10 @@
 // The JSON artifact is the unit CI's bench-regression tracking consumes:
 // `bench/compare_baselines.py` checks the deterministic counters
 // (events_processed, completed, ...) exactly and reports — without gating —
-// the wall-clock rates, so a change that silently makes the simulator do
-// more work per request fails the build even on noisy CI hosts.
+// the wall-clock rates, the process's `peak_rss_mb` and the host
+// `provenance` (hardware threads, OpenMP threads, GEMM provider, build
+// type), so a change that silently makes the simulator do more work per
+// request fails the build even on noisy CI hosts.
 //
 // Exit status is nonzero if any fleet breaks request conservation
 // (completed + dropped + rejected + lost != submitted + retried), processes
@@ -48,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "obs/prof/prof_sink.hpp"
 #include "util/cli_flags.hpp"
@@ -296,6 +299,10 @@ int main(int argc, char** argv) {
       w.EndObject();
     }
     w.EndArray();
+    // Host-dependent, report-only: memory of the whole process (trace plus
+    // every fleet run) and what the wall-clock numbers were measured on.
+    w.Key("peak_rss_mb").Number(bench::PeakRssMb());
+    bench::Provenance().Write(w);
     w.EndObject();
     std::string json = w.TakeString();
     json.push_back('\n');

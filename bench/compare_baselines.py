@@ -8,7 +8,9 @@ hashes pin this cross-platform), so everything the artifact reports about
 match the baseline: integers exactly, floats within a small relative
 tolerance.  Host wall-clock measurements (wall_seconds, events_per_sec, ...)
 legitimately vary machine to machine; they are reported for trend-watching
-but never gated.
+but never gated.  Host-dependent fields (peak RSS, the provenance block) are
+reported too, but neither gated nor required: a baseline recorded before
+they existed still passes.
 
 Usage:
     compare_baselines.py BASELINE CURRENT [BASELINE CURRENT ...]
@@ -32,6 +34,10 @@ WALL_CLOCK_SUFFIXES = (
     "speedup_vs_1_thread",
 )
 
+# Keys whose value (a leaf or a whole subtree) describes the host, not the
+# simulated work: reported, never gated, and optional on either side.
+HOST_KEYS = ("peak_rss_mb", "provenance")
+
 # Per-metric relative tolerances, matched on the dotted-path suffix; the
 # longest matching suffix wins.  The default covers cross-platform printf
 # round-trip noise; widen a specific metric here (with a comment saying why)
@@ -54,6 +60,22 @@ def is_wall_clock(path):
     return any(path.endswith(s) for s in WALL_CLOCK_SUFFIXES)
 
 
+def is_host(path):
+    return any(seg.split("[")[0] in HOST_KEYS for seg in path.split("."))
+
+
+def report_host(base, cur, path, findings):
+    """Appends 'host' rows for every leaf of a host-dependent value."""
+    if isinstance(base, dict) or isinstance(cur, dict):
+        base = base if isinstance(base, dict) else {}
+        cur = cur if isinstance(cur, dict) else {}
+        for key in sorted(set(base) | set(cur)):
+            report_host(base.get(key), cur.get(key), f"{path}.{key}",
+                        findings)
+        return
+    findings.append((path, base, cur, "host"))
+
+
 def match_list_items(base, cur):
     """Pairs list elements: by 'name' key when every element has one
     (order-independent), else by index."""
@@ -71,7 +93,10 @@ def match_list_items(base, cur):
 
 def compare(base, cur, path, findings):
     """Appends (path, baseline, current, status) rows.  Status is 'ok',
-    'wall' (reported, ungated), or 'FAIL'."""
+    'wall' or 'host' (reported, ungated), or 'FAIL'."""
+    if is_host(path):
+        report_host(base, cur, path, findings)
+        return
     if base is None or cur is None:
         findings.append((path, base, cur, "FAIL"))
         return
@@ -104,6 +129,8 @@ def compare(base, cur, path, findings):
 
 
 def fmt(value):
+    if value is None:
+        return "(absent)"
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
@@ -118,17 +145,19 @@ def compare_pair(baseline_path, current_path):
     compare(base, cur, "", findings)
 
     failures = [f for f in findings if f[3] == "FAIL"]
-    walls = [f for f in findings if f[3] == "wall"]
+    walls = [f for f in findings if f[3] in ("wall", "host")]
     gated = len(findings) - len(walls)
 
     print(f"== {current_path} vs {baseline_path}: "
-          f"{gated} gated metrics, {len(walls)} wall-clock (ungated), "
+          f"{gated} gated metrics, {len(walls)} host-dependent (ungated), "
           f"{len(failures)} failures ==")
-    for path, b, c, _ in walls:
+    for path, b, c, status in walls:
         drift = ""
-        if isinstance(b, (int, float)) and b:
+        if isinstance(b, (int, float)) and isinstance(c, (int, float)) \
+                and not isinstance(b, bool) and b:
             drift = f"  ({100.0 * (c - b) / b:+.1f}%)"
-        print(f"  wall  {path}: baseline {fmt(b)} -> current {fmt(c)}{drift}")
+        print(f"  {status:4}  {path}: baseline {fmt(b)} -> current "
+              f"{fmt(c)}{drift}")
     for path, b, c, _ in failures:
         print(f"  FAIL  {path}: baseline {fmt(b)} -> current {fmt(c)}")
     return not failures

@@ -294,7 +294,7 @@ bool ClusterSimulator::RemoveReplicaImpl(std::size_t id) {
     if (meta != inflight_.end()) session = meta->second.session;
     const std::optional<std::size_t> dst =
         router_.RouteDecode(session, Views(0), m.kv.blocks + 1,
-                            m.kv.prefix_hashes);
+                            &m.continuation.prefix);
     if (dst && replicas_[*dst].active) {
       coordinator_.Reroute(m, *dst, std::max(now, m.start));
       ++tally_.rerouted;
@@ -531,11 +531,11 @@ void ClusterSimulator::PlanHandoff(Replica& src,
 
   std::optional<std::size_t> dst;
   if (coordinator_.model().Usable()) {
-    // Decode placement sees the migrating KV's real identity: the hashes
-    // ride the export, so a prefix-aware preset scores shared resident
-    // blocks at each candidate, not just session stickiness.
+    // Decode placement sees the migrating KV's real identity: the prompt's
+    // signature is what the KV registered, so a prefix-aware preset scores
+    // shared resident blocks at each candidate, not just session stickiness.
     dst = router_.RouteDecode(session, Views(0), handoff.kv.blocks + 1,
-                              handoff.kv.prefix_hashes);
+                              &handoff.request.prefix);
   }
   if (dst && *dst == src.id) {
     // The best decode home is this very replica (it can happen when a

@@ -167,11 +167,16 @@ double Router::TermValue(ScoreTerm term, const ScoreInput& input,
       return 1;
     }
     case ScoreTerm::kPrefixOverlap: {
-      if (input.prefix_hashes.empty() || v.prefix_index == nullptr) return 0;
+      if (input.prefix == nullptr || input.prefix->empty() ||
+          v.prefix_index == nullptr) {
+        return 0;
+      }
+      // Normalized by the whole prompt, not by the hashed blocks: a
+      // signature leaves out the unique tail, which could never match.
       const std::size_t shared =
-          v.prefix_index->SharedPrefixBlocks(input.prefix_hashes);
+          v.prefix_index->SharedPrefixBlocks(input.prefix->hashes);
       return static_cast<double>(shared) /
-             static_cast<double>(input.prefix_hashes.size());
+             static_cast<double>(input.prefix->blocks());
     }
     case ScoreTerm::kPredictedTtft:
       return -v.est_ttft_seconds;
@@ -244,7 +249,7 @@ std::optional<std::size_t> Router::Route(
     const std::vector<ReplicaView>& replicas, RouteExplain* explain) {
   ScoreInput input;
   input.session = request.session;
-  input.prefix_hashes = request.prefix.hashes;
+  input.prefix = &request.prefix;
   if (role_aware_) {
     const std::vector<ReplicaView> eligible = PromptEligible(replicas);
     bool any_prefill = false;
@@ -306,10 +311,10 @@ RouteDecision Router::Decide(const serving::TimedRequest& request,
 std::optional<std::size_t> Router::RouteDecode(
     std::uint64_t session, const std::vector<ReplicaView>& replicas,
     std::size_t min_free_blocks,
-    std::span<const std::uint64_t> prefix_hashes) {
+    const serving::PrefixSignature* prefix) {
   ScoreInput input;
   input.session = session;
-  input.prefix_hashes = prefix_hashes;
+  input.prefix = prefix;
   input.decode_mode = true;
   input.min_free_blocks = min_free_blocks;
   return ScoreRoute(input, replicas, decode_pipeline_);

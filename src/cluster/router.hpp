@@ -44,7 +44,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -79,7 +78,7 @@ enum class ScoreTerm {
   kAffinity,       ///< 1 when the session is pinned here, else 0 (decode
                    ///  mode additionally requires min_free_blocks headroom)
   kPrefixOverlap,  ///< shared leading signature blocks resident here,
-                   ///  normalized by the request's total blocks (0..1)
+                   ///  normalized by the prompt's block count (0..1)
   kPredictedTtft,  ///< -est_ttft_seconds (0 when no estimate was computed)
   kRolePreference, ///< decode placement: 1 for decode-role replicas, else 0
 };
@@ -206,14 +205,15 @@ class Router {
   /// the legacy presets: the session's previous decode home if it is alive
   /// and has `min_free_blocks` KV blocks free, else the alive decode replica
   /// with the most free KV.  Under prefix_aware, shared resident prefix
-  /// blocks (the migrating KV's hashes are scored against each target's
-  /// index) outrank stickiness.  Unified replicas are used when no decode
-  /// replica is alive; returns nullopt when neither exists (the caller
-  /// decodes locally on the prefill replica — unified fallback).
+  /// blocks (the continuation's signature, which is exactly what its
+  /// migrating KV registered, scored against each target's index) outrank
+  /// stickiness.  Unified replicas are used when no decode replica is
+  /// alive; returns nullopt when neither exists (the caller decodes locally
+  /// on the prefill replica — unified fallback).
   [[nodiscard]] std::optional<std::size_t> RouteDecode(
       std::uint64_t session, const std::vector<ReplicaView>& replicas,
       std::size_t min_free_blocks,
-      std::span<const std::uint64_t> prefix_hashes = {});
+      const serving::PrefixSignature* prefix = nullptr);
 
   /// Drops affinity pins onto `replica` (called on scale-down or kill); its
   /// sessions will be re-placed on their next request.  Replica indices stay
@@ -258,7 +258,7 @@ class Router {
   /// Everything a scoring pass needs beyond the views.
   struct ScoreInput {
     std::uint64_t session = 0;
-    std::span<const std::uint64_t> prefix_hashes;
+    const serving::PrefixSignature* prefix = nullptr;
     bool decode_mode = false;  ///< decode pin map + role-preference semantics
     std::size_t min_free_blocks = 0;  ///< decode pin headroom gate
   };

@@ -15,32 +15,45 @@
 
 namespace liquid::serving {
 
-/// Token-block signature of a prompt: one rolling hash per fixed-size block
-/// of `block_tokens` simulated tokens, chained across blocks so hash i
-/// commits to every token through block i.  Two prompts share leading hashes
-/// exactly as far as their token content agrees — the fleet-wide currency of
-/// prefix-cache locality (routing scores shared blocks, schedulers skip
-/// their prefill compute).
+/// Token-block signature of a prompt: the blocks of `block_tokens` simulated
+/// tokens that can match another request's, one rolling hash each, chained
+/// so hash i commits to every token through block i.  Two prompts share
+/// leading hashes exactly as far as their token content agrees — the
+/// fleet-wide currency of prefix-cache locality (routing scores shared
+/// blocks, schedulers skip their prefill compute).
+///
+/// Only shared-preamble content can match, so only it is hashed: the blocks
+/// wholly inside the preamble, plus a partial last block when the whole
+/// prompt is shared.  Unique-tail blocks, and the block straddling the
+/// preamble's end, hold per-request tokens and are left out.  An unshared
+/// prompt therefore carries no hashes at all.  `blocks()` still counts the
+/// whole prompt, the denominator of the router's overlap score.
 struct PrefixSignature {
   std::uint32_t block_tokens = 0;     ///< tokens hashed per block (0 = none)
-  /// Prompt tokens the hashes attest (the final block can be partial).
-  /// Stays fixed when bookkeeping later inflates a request's prompt
-  /// (preemption folds generated tokens in); 0 = unknown, treat every
-  /// block as full.
+  /// Prompt tokens the signature describes (the final block can be
+  /// partial).  Stays fixed when bookkeeping later inflates a request's
+  /// prompt (preemption folds generated tokens in); 0 = unknown, treat every
+  /// hash as one full block of the prompt.
   std::size_t covered_tokens = 0;
-  std::vector<std::uint64_t> hashes;  ///< rolling hash per prompt block
+  std::vector<std::uint64_t> hashes;  ///< rolling hash per shareable block
 
   [[nodiscard]] bool empty() const { return hashes.empty(); }
-  [[nodiscard]] std::size_t blocks() const { return hashes.size(); }
+  /// Blocks of the whole prompt: ceil(covered_tokens / block_tokens), or the
+  /// hash count when the prompt length is unknown.
+  [[nodiscard]] std::size_t blocks() const {
+    return covered_tokens > 0 && block_tokens > 0
+               ? (covered_tokens + block_tokens - 1) / block_tokens
+               : hashes.size();
+  }
 };
 
-/// Builds the signature of a prompt whose first `shared_tokens` tokens come
-/// from a shared content stream (keyed by `content_key` — a system preamble
-/// or few-shot prefix) and whose remainder is unique (keyed by `unique_key`).
-/// Deterministic: the same keys and lengths produce the same hashes on every
-/// replica, which is what makes the fleet-wide index meaningful.
+/// Builds the signature of a prompt of `prompt_tokens` tokens whose first
+/// `shared_tokens` come from a shared content stream keyed by `content_key`
+/// (a system preamble or few-shot prefix); the rest is unique to the
+/// request and never hashed.  Deterministic: the same key and lengths
+/// produce the same hashes on every replica, which is what makes the
+/// fleet-wide index meaningful.
 [[nodiscard]] PrefixSignature MakePrefixSignature(std::uint64_t content_key,
-                                                  std::uint64_t unique_key,
                                                   std::size_t shared_tokens,
                                                   std::size_t prompt_tokens,
                                                   std::size_t block_tokens);
@@ -78,9 +91,11 @@ struct TraceConfig {
   /// by session % prefix_groups, so sharing crosses session boundaries
   /// (the case pure session stickiness cannot exploit).
   std::size_t prefix_groups = 1;
-  /// Tokens per signature block.  Keep equal to the replicas' KV
-  /// block_tokens so one shared signature block equals one skippable
-  /// KV block of prefill.
+  /// Tokens per signature block (0 = no signatures).  Keep equal to the
+  /// replicas' KV block_tokens so one shared signature block equals one
+  /// skippable KV block of prefill.  Only shared-preamble blocks are hashed,
+  /// so with shared_prefix_fraction = 0 every signature is empty whatever
+  /// this is.
   std::size_t prefix_block_tokens = 16;
 };
 

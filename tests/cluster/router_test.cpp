@@ -325,12 +325,12 @@ TEST(RouterScorerTest, DecodePrefixOverlapOutranksStickiness) {
   // Pin session 3 onto replica 0 first (no overlap info).
   ASSERT_EQ(router.RouteDecode(3, views, 1), 0u);
   // With shared blocks visible on replica 1, the pin loses.
-  const std::uint64_t sig[] = {7, 8};
-  EXPECT_EQ(router.RouteDecode(3, views, 1, sig), 1u);
+  const serving::PrefixSignature sig = SignedReq(0, 3, {7, 8}).prefix;
+  EXPECT_EQ(router.RouteDecode(3, views, 1, &sig), 1u);
   // And under a legacy preset the pin would have held.
   Router legacy(RoutePolicy::kSessionAffinity);
   ASSERT_EQ(legacy.RouteDecode(3, views, 1), 0u);
-  EXPECT_EQ(legacy.RouteDecode(3, views, 1, sig), 0u);
+  EXPECT_EQ(legacy.RouteDecode(3, views, 1, &sig), 0u);
 }
 
 TEST(RouterScorerTest, DecodeRolePreferenceStillAbsoluteUnderPrefix) {
@@ -345,8 +345,8 @@ TEST(RouterScorerTest, DecodeRolePreferenceStillAbsoluteUnderPrefix) {
   views[0].free_kv_blocks = 100;
   views[1].role = ReplicaRole::kDecode;
   views[1].free_kv_blocks = 10;
-  const std::uint64_t sig[] = {1};
-  EXPECT_EQ(router.RouteDecode(1, views, 1, sig), 1u);
+  const serving::PrefixSignature sig = SignedReq(0, 1, {1}).prefix;
+  EXPECT_EQ(router.RouteDecode(1, views, 1, &sig), 1u);
 }
 
 }  // namespace

@@ -185,12 +185,12 @@ TEST(PrefixIndexTest, KvLifecycleDrainsBothIndexesToZero) {
   SeqId next_id = 1;
   std::size_t imports = 0;
 
-  const auto signature = [&](SeqId id) {
+  const auto signature = [&] {
     const std::uint64_t preamble = rng() % 4;  // 4 shared preambles
     const std::size_t shared = 64 * (1 + rng() % 4);
     const std::size_t prompt = shared + 16 * (rng() % 8) + rng() % 16;
     PrefixSignature sig =
-        MakePrefixSignature(preamble, id, shared, prompt, kBlockTokens);
+        MakePrefixSignature(preamble, shared, prompt, kBlockTokens);
     every_hash.insert(sig.hashes.begin(), sig.hashes.end());
     return std::pair{prompt, sig};
   };
@@ -218,13 +218,13 @@ TEST(PrefixIndexTest, KvLifecycleDrainsBothIndexesToZero) {
     const int kind = static_cast<int>(rng() % 8);
     if (kind <= 1 || live_src.empty()) {  // admit + register
       const SeqId id = next_id++;
-      const auto [prompt, sig] = signature(id);
+      const auto [prompt, sig] = signature();
       if (!src.AddSequence(id, prompt)) continue;
       src.RegisterPrefix(id, sig.hashes);
       live_src.push_back(id);
     } else if (kind == 2) {  // re-register with a different signature
       const SeqId id = live_src[rng() % live_src.size()];
-      src.RegisterPrefix(id, signature(id).second.hashes);
+      src.RegisterPrefix(id, signature().second.hashes);
     } else if (kind == 3) {  // fork
       const SeqId child = next_id++;
       if (src.Fork(live_src[rng() % live_src.size()], child)) {

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <vector>
 
+#include "cluster/cluster_sim.hpp"
+#include "cluster/router.hpp"
 #include "serving/engine.hpp"
 #include "serving/kv_cache.hpp"
 #include "serving/scheduler.hpp"
@@ -17,37 +22,81 @@
 namespace liquid::serving {
 namespace {
 
+// ---- Oracle: the full rolling chain -----------------------------------
+// Signatures once hashed every prompt block, the unique tail included (keyed
+// by request id).  These helpers are a copy of that derivation; the
+// equivalence test checks the shareable-blocks-only signatures against it.
+
+std::uint64_t OracleMix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t OracleContentWord(std::uint64_t key, std::size_t t) {
+  return OracleMix64(key ^ OracleMix64(static_cast<std::uint64_t>(t)));
+}
+
+/// One hash per prompt block (the last one possibly partial): the first
+/// `shared_tokens` tokens from `content_key`'s stream, the rest from
+/// `unique_key`'s.
+std::vector<std::uint64_t> FullChain(std::uint64_t content_key,
+                                     std::uint64_t unique_key,
+                                     std::size_t shared_tokens,
+                                     std::size_t prompt_tokens,
+                                     std::size_t block_tokens) {
+  std::vector<std::uint64_t> hashes;
+  shared_tokens = std::min(shared_tokens, prompt_tokens);
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (std::size_t t = 0; t < prompt_tokens; ++t) {
+    const std::uint64_t word = t < shared_tokens
+                                   ? OracleContentWord(content_key, t)
+                                   : OracleContentWord(unique_key, t);
+    h = OracleMix64(h ^ word);
+    if ((t + 1) % block_tokens == 0 || t + 1 == prompt_tokens) {
+      hashes.push_back(h);
+    }
+  }
+  return hashes;
+}
+
 TEST(PrefixSignatureTest, SamePromptSameHashesAcrossReplicas) {
   // Two "replicas" computing independently (same derivation inputs) agree on
   // every block hash — the signature is a pure function, never RNG state.
   const PrefixSignature a = MakePrefixSignature(/*content_key=*/7,
-                                                /*unique_key=*/99,
                                                 /*shared_tokens=*/128,
                                                 /*prompt_tokens=*/300,
                                                 /*block_tokens=*/16);
-  const PrefixSignature b =
-      MakePrefixSignature(7, 99, 128, 300, 16);
+  const PrefixSignature b = MakePrefixSignature(7, 128, 300, 16);
   ASSERT_EQ(a.hashes.size(), b.hashes.size());
   EXPECT_EQ(a.hashes, b.hashes);
-  // ceil(300 / 16) = 19 blocks, the tail block short.
-  EXPECT_EQ(a.hashes.size(), 19u);
+  // Only the 128 / 16 = 8 wholly shared blocks are hashed, but the prompt
+  // still counts ceil(300 / 16) = 19 blocks, the tail block short.
+  EXPECT_EQ(a.hashes.size(), 8u);
+  EXPECT_EQ(a.blocks(), 19u);
+  EXPECT_EQ(a.covered_tokens, 300u);
   EXPECT_EQ(a.block_tokens, 16u);
 }
 
 TEST(PrefixSignatureTest, SharedPreambleMatchesExactlyToDivergence) {
-  // Same content key, different unique keys: hashes agree for the blocks
-  // fully inside the 128 shared tokens (128/16 = 8 blocks), then diverge —
-  // and the rolling chain keeps them diverged forever after.
-  const PrefixSignature a = MakePrefixSignature(7, 1, 128, 512, 16);
-  const PrefixSignature b = MakePrefixSignature(7, 2, 128, 512, 16);
+  // Two prompts over the same 128-token preamble agree on the 8 blocks
+  // fully inside it (128/16 = 8), and the signature ends there: under the
+  // full chain their unique tails diverge from block 8 on, forever after.
+  const PrefixSignature a = MakePrefixSignature(7, 128, 512, 16);
+  ASSERT_EQ(a.hashes.size(), 8u);
+  EXPECT_EQ(a.blocks(), 32u);
+  const auto full_a = FullChain(7, 1, 128, 512, 16);
+  const auto full_b = FullChain(7, 2, 128, 512, 16);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(a.hashes[i], b.hashes[i]) << "shared block " << i;
+    EXPECT_EQ(a.hashes[i], full_a[i]) << "shared block " << i;
+    EXPECT_EQ(a.hashes[i], full_b[i]) << "shared block " << i;
   }
-  for (std::size_t i = 8; i < a.hashes.size(); ++i) {
-    EXPECT_NE(a.hashes[i], b.hashes[i]) << "diverged block " << i;
+  for (std::size_t i = 8; i < full_a.size(); ++i) {
+    EXPECT_NE(full_a[i], full_b[i]) << "diverged block " << i;
   }
   // Different preambles never match, even at block 0.
-  const PrefixSignature c = MakePrefixSignature(8, 1, 128, 512, 16);
+  const PrefixSignature c = MakePrefixSignature(8, 128, 512, 16);
   EXPECT_NE(a.hashes[0], c.hashes[0]);
 }
 
@@ -80,14 +129,105 @@ TEST(PrefixSignatureTest, TraceSignaturesDeterministicAndSessionGrouped) {
 
 TEST(PrefixSignatureTest, DisjointTracesShareNothing) {
   // shared_prefix_fraction = 0 (the default): every request is unique
-  // content, so no two distinct requests agree on even one block.
+  // content, so no block can match another request's and none is hashed.
   TraceConfig config;
   config.count = 16;
   config.sessions = 4;  // same sessions, still no content sharing
   const auto trace = GenerateTrace(config, 9);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    for (std::size_t j = i + 1; j < trace.size(); ++j) {
-      EXPECT_NE(trace[i].prefix.hashes[0], trace[j].prefix.hashes[0]);
+  for (const TimedRequest& r : trace) {
+    EXPECT_TRUE(r.prefix.empty()) << "request " << r.id;
+    EXPECT_EQ(r.prefix.covered_tokens, r.prompt_tokens);
+    EXPECT_EQ(r.prefix.blocks(), (r.prompt_tokens + 15) / 16);
+  }
+  // A prefix-aware fleet replaying it finds nothing to reuse.
+  cluster::ClusterSimulator sim(cluster::RoutePolicy::kPrefixAware);
+  for (int i = 0; i < 2; ++i) {
+    cluster::ReplicaSpec spec;
+    spec.hw = simgpu::HardwareSpec::H800();
+    spec.preset = SystemPreset::LiquidServe();
+    spec.model = LlmConfig::Llama2_7B();
+    spec.kv_pool_blocks = 1024;
+    spec.block_tokens = 16;
+    sim.AddReplica(spec);
+  }
+  const cluster::FleetStats stats = sim.Run(trace);
+  EXPECT_EQ(stats.completed, trace.size());
+  EXPECT_EQ(stats.prefix_hits, 0u);
+  EXPECT_EQ(stats.prefill_tokens_saved, 0.0);
+}
+
+/// The router's prefix_overlap reading for `request` against one replica
+/// holding `index`.
+double OverlapScore(const TimedRequest& request, const PrefixIndex& index) {
+  cluster::Router router(cluster::RoutePolicy::kPrefixAware);
+  router.set_pipeline({{cluster::ScoreTerm::kPrefixOverlap, 1.0}});
+  std::vector<cluster::ReplicaView> views(1);
+  views[0].prefix_index = &index;
+  cluster::RouteExplain explain;
+  EXPECT_EQ(router.Route(request, views, &explain), 0u);
+  return explain.terms.empty() ? -1.0 : explain.terms[0].value;
+}
+
+TEST(PrefixSignatureTest, MatchesFullChainOnEveryPairOfRequests) {
+  // Seeded (shared, prompt, block) triples over three preambles, covering:
+  // nothing shared, less than one block shared, sharing ending on and off a
+  // block boundary, a fully shared prompt with a partial last block, and
+  // prompts shorter than one block.  Against the full-chain oracle, the
+  // signature is a leading prefix of the chain, and every pair of requests
+  // gets the same shared-block count and the same router overlap score.
+  for (const std::size_t block : {1u, 7u, 16u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      std::mt19937_64 rng(seed * 1000 + block);
+      struct Case {
+        TimedRequest request;             ///< carries the new signature
+        TimedRequest oracle;              ///< carries the full chain
+      };
+      std::vector<Case> cases;
+      for (std::uint64_t id = 0; id < 48; ++id) {
+        const std::uint64_t preamble = rng() % 3;
+        std::size_t prompt = 1 + rng() % (5 * block + 3);
+        std::size_t shared = 0;
+        switch (id % 6) {
+          case 0: shared = 0; break;
+          case 1: shared = rng() % block; break;  // < one block
+          case 2: shared = block * (rng() % (prompt / block + 1)); break;
+          case 3: shared = rng() % (prompt + 1); break;
+          case 4: prompt = block * (1 + rng() % 4) + rng() % block;
+                  shared = prompt; break;  // fully shared, often partial
+          case 5: prompt = 1 + rng() % block; shared = rng() % (prompt + 1);
+                  break;  // prompt within one block
+        }
+        shared = std::min(shared, prompt);
+        Case c;
+        c.request.id = id;
+        c.request.prompt_tokens = prompt;
+        c.request.prefix = MakePrefixSignature(preamble, shared, prompt, block);
+        c.oracle = c.request;
+        c.oracle.prefix.hashes =
+            FullChain(preamble, OracleMix64(0xb1a5 ^ id), shared, prompt,
+                      block);
+        const auto& sig = c.request.prefix.hashes;
+        const auto& full = c.oracle.prefix.hashes;
+        ASSERT_LE(sig.size(), full.size());
+        EXPECT_TRUE(std::equal(sig.begin(), sig.end(), full.begin()))
+            << "block " << block << " seed " << seed << " id " << id;
+        EXPECT_EQ(c.request.prefix.blocks(), full.size());
+        cases.push_back(std::move(c));
+      }
+      for (const Case& holder : cases) {
+        PrefixIndex now, before;
+        for (const std::uint64_t h : holder.request.prefix.hashes) now.Add(h);
+        for (const std::uint64_t h : holder.oracle.prefix.hashes) before.Add(h);
+        for (const Case& probe : cases) {
+          if (probe.request.id == holder.request.id) continue;
+          EXPECT_EQ(now.SharedPrefixBlocks(probe.request.prefix.hashes),
+                    before.SharedPrefixBlocks(probe.oracle.prefix.hashes))
+              << "block " << block << " seed " << seed << " probe "
+              << probe.request.id << " holder " << holder.request.id;
+          EXPECT_EQ(OverlapScore(probe.request, now),
+                    OverlapScore(probe.oracle, before));
+        }
+      }
     }
   }
 }
@@ -182,8 +322,8 @@ class PrefixCreditTest : public ::testing::Test {
 TEST_F(PrefixCreditTest, SubmitCreditSkipsPrefillComputeWhileResident) {
   // A provider holds the 512-token preamble; the consumer arrives with the
   // credit the router computed.  Its prefill charge shrinks to the suffix.
-  const PrefixSignature provider = MakePrefixSignature(1, 10, 512, 1024, 16);
-  const PrefixSignature consumer = MakePrefixSignature(1, 11, 512, 1024, 16);
+  const PrefixSignature provider = MakePrefixSignature(1, 512, 1024, 16);
+  const PrefixSignature consumer = MakePrefixSignature(1, 512, 1024, 16);
   ContinuousBatchScheduler cold(engine_, 256, 16);
   cold.Submit(Req(1, 1024, provider));
   const SchedulerStats cold_stats = cold.RunToCompletion();
@@ -205,7 +345,7 @@ TEST_F(PrefixCreditTest, StaleCreditIsNotHonored) {
   // The router promised 32 cached blocks, but nothing is resident by
   // admission (the holder freed): the promise is re-validated against the
   // live index and the full prefill is charged.
-  const PrefixSignature sig = MakePrefixSignature(1, 2, 512, 1024, 16);
+  const PrefixSignature sig = MakePrefixSignature(1, 512, 1024, 16);
   ContinuousBatchScheduler cold(engine_, 256, 16);
   cold.Submit(Req(1, 1024, sig));
   const SchedulerStats cold_stats = cold.RunToCompletion();
@@ -222,8 +362,8 @@ TEST_F(PrefixCreditTest, AdmissionRefreshesCreditFromLiveIndex) {
   // Two same-preamble requests routed with NO credit: the second's prefill
   // still reuses the first's resident blocks, because admission re-checks
   // the live index (the routing-time snapshot predates the first prefill).
-  const PrefixSignature a = MakePrefixSignature(1, 10, 512, 1024, 16);
-  const PrefixSignature b = MakePrefixSignature(1, 11, 512, 1024, 16);
+  const PrefixSignature a = MakePrefixSignature(1, 512, 1024, 16);
+  const PrefixSignature b = MakePrefixSignature(1, 512, 1024, 16);
   ContinuousBatchScheduler sched(engine_, 256, 16);
   sched.Submit(Req(1, 1024, a));
   sched.Submit(Req(2, 1024, b));
@@ -234,7 +374,7 @@ TEST_F(PrefixCreditTest, AdmissionRefreshesCreditFromLiveIndex) {
 
 TEST_F(PrefixCreditTest, FullHitStillRecomputesLastToken) {
   // Fully shared prompt content: two requests with identical signatures.
-  const PrefixSignature sig = MakePrefixSignature(1, 2, 1024, 1024, 16);
+  const PrefixSignature sig = MakePrefixSignature(1, 1024, 1024, 16);
   ContinuousBatchScheduler sched(engine_, 256, 16);
   sched.Submit(Req(1, 1024, sig));
   sched.Submit(Req(2, 1024, sig));
