@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "obs/prof/prof_sink.hpp"
 #include "obs/telemetry_sink.hpp"
@@ -185,6 +186,7 @@ int main(int argc, char** argv) {
 
   bool all_win = true;
   double best_cut = 0;
+  FleetStats artifact;  // the --json-out report
   bool first_tail = true;
   for (const double tail : tails) {
     const auto trace = BurstIdleTrace(burst, tail, seed);
@@ -193,14 +195,7 @@ int main(int argc, char** argv) {
     const FleetStats autoscaled =
         RunAutoscaled(trace, telemetry && first_tail ? &recorder : nullptr,
                       telemetry && first_tail ? &metrics : nullptr);
-    if (telemetry && first_tail && !flags.json_out.empty()) {
-      if (WriteFleetStatsJson(autoscaled, flags.json_out)) {
-        std::printf("wrote fleet stats: %s\n", flags.json_out.c_str());
-      } else {
-        std::fprintf(stderr, "FAILED to write %s\n", flags.json_out.c_str());
-        return 1;
-      }
-    }
+    if (first_tail) artifact = autoscaled;
     first_tail = false;
     AddRow(table, Format("fixed 2P:4D, %.0fs tail", tail), fixed);
     AddRow(table, Format("autoscaled,  %.0fs tail", tail), autoscaled);
@@ -228,6 +223,7 @@ int main(int argc, char** argv) {
   std::printf("\nrole-typed + cost-aware autoscaling %s the fixed 2P:4D "
               "split (best $/1Mtok cut: %.0f%%)\n",
               all_win ? "beats" : "FAILED to beat", 100.0 * best_cut);
+  if (!bench::WriteFleetArtifact(flags.json_out, artifact)) return 1;
   if (!obs::WriteProfile(flags)) return 1;
   if (!obs::WriteTelemetry(flags, recorder, metrics)) return 1;
   return all_win ? 0 : 1;

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "obs/prof/prof_sink.hpp"
 #include "obs/telemetry_sink.hpp"
@@ -138,14 +139,6 @@ int main(int argc, char** argv) {
       RunChaos(trace, SloConfig{}, tail, telemetry ? &recorder : nullptr,
                telemetry ? &metrics : nullptr);
   AddChaosRow(signals, "p99 TTFT window", by_tail);
-  if (telemetry && !flags.json_out.empty()) {
-    if (WriteFleetStatsJson(by_tail, flags.json_out)) {
-      std::printf("wrote fleet stats: %s\n", flags.json_out.c_str());
-    } else {
-      std::fprintf(stderr, "FAILED to write %s\n", flags.json_out.c_str());
-      return 1;
-    }
-  }
   signals.Print();
   std::printf("scale-ups: queue=%zu tail=%zu\n", by_queue.scale_ups,
               by_tail.scale_ups);
@@ -154,6 +147,7 @@ int main(int argc, char** argv) {
   std::printf("\nSLO (2s budget) p99 TTFT %s vs unbounded %s: %s\n",
               HumanTime(best_slo.ttft.p99).c_str(),
               HumanTime(open.ttft.p99).c_str(), bounded ? "WIN" : "LOSS");
+  if (!bench::WriteFleetArtifact(flags.json_out, by_tail)) return 1;
   if (!obs::WriteProfile(flags)) return 1;
   if (!obs::WriteTelemetry(flags, recorder, metrics)) return 1;
   return bounded ? 0 : 1;

@@ -13,6 +13,7 @@
 #include <omp.h>
 #endif
 
+#include "cluster/fleet_stats.hpp"
 #include "core/gemm/provider.hpp"
 #include "serving/engine.hpp"
 #include "simgpu/gemm_sim.hpp"
@@ -59,6 +60,44 @@ inline double PeakRssMb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
+}
+
+/// Writes a finished JSON artifact to `path` with a trailing newline after
+/// checking its syntax, and says so on stdout as "wrote <what>: <path>".
+/// On failure it prints why to stderr and returns false.
+inline bool WriteJsonArtifact(const std::string& path, std::string json,
+                              const char* what) {
+  json.push_back('\n');
+  if (!JsonSyntaxValid(json)) {
+    std::fprintf(stderr, "FAILED: emitted invalid JSON\n");
+    return false;
+  }
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr ||
+      std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
+    if (f != nullptr) std::fclose(f);
+    std::fprintf(stderr, "FAILED to write %s\n", path.c_str());
+    return false;
+  }
+  std::fclose(f);
+  std::printf("wrote %s: %s\n", what, path.c_str());
+  return true;
+}
+
+/// A cluster bench's --json-out artifact (nothing when `path` is empty): the
+/// fleet report's members, then this process's peak RSS and the provenance
+/// block, which compare_baselines.py reports but never gates.  Benches call
+/// it after their last run, so the RSS covers every run.
+inline bool WriteFleetArtifact(const std::string& path,
+                               const cluster::FleetStats& stats) {
+  if (path.empty()) return true;
+  JsonWriter w;
+  w.BeginObject();
+  cluster::WriteFleetStatsMembers(w, stats);
+  w.Key("peak_rss_mb").Number(PeakRssMb());
+  Provenance().Write(w);
+  w.EndObject();
+  return WriteJsonArtifact(path, w.TakeString(), "fleet stats");
 }
 
 inline const simgpu::HardwareSpec& H800() {

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "obs/prof/prof_sink.hpp"
 #include "obs/telemetry_sink.hpp"
@@ -139,6 +140,7 @@ int main(int argc, char** argv) {
                     "done", "migrated", "local", "$/1Mtok"});
   const FleetStats unified = RunUnified(trace, 6);
   AddRow(ratios, "unified x6", unified);
+  FleetStats artifact;  // the --json-out report
   FleetStats best;
   std::string best_label;
   const std::size_t splits[][2] = {{1, 5}, {2, 4}, {3, 3}, {4, 2}};
@@ -148,14 +150,7 @@ int main(int argc, char** argv) {
     const FleetStats s =
         RunSplit(trace, split[0], split[1], nvlink,
                  capture ? &recorder : nullptr, capture ? &metrics : nullptr);
-    if (capture && !flags.json_out.empty()) {
-      if (WriteFleetStatsJson(s, flags.json_out)) {
-        std::printf("wrote fleet stats: %s\n", flags.json_out.c_str());
-      } else {
-        std::fprintf(stderr, "FAILED to write %s\n", flags.json_out.c_str());
-        return 1;
-      }
-    }
+    if (capture) artifact = s;
     const std::string label =
         Format("%zuP : %zuD", split[0], split[1]);
     AddRow(ratios, label, s);
@@ -198,6 +193,7 @@ int main(int argc, char** argv) {
   std::printf("\n%s p99 TPOT %s vs unified %s: %s\n", best_label.c_str(),
               HumanTime(best.tpot.p99).c_str(),
               HumanTime(unified.tpot.p99).c_str(), win ? "WIN" : "LOSS");
+  if (!bench::WriteFleetArtifact(flags.json_out, artifact)) return 1;
   if (!obs::WriteProfile(flags)) return 1;
   if (!obs::WriteTelemetry(flags, recorder, metrics)) return 1;
   return win ? 0 : 1;

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "obs/prof/prof_sink.hpp"
 #include "obs/telemetry_sink.hpp"
@@ -105,6 +106,7 @@ int main(int argc, char** argv) {
   table.SetHeader({"shared", "preset", "p50 TTFT", "p99 TTFT", "hit %",
                    "tokens saved", "done", "p99 TPOT"});
 
+  FleetStats artifact;  // the --json-out report
   bool shared_win = true;   // prefix_aware must win every >= 50% row
   bool disjoint_ok = true;  // and tie the 0% row
   for (const double fraction : fractions) {
@@ -117,14 +119,7 @@ int main(int argc, char** argv) {
     const FleetStats prefix =
         RunPreset(RoutePolicy::kPrefixAware, trace, replicas,
                   capture ? &recorder : nullptr, capture ? &metrics : nullptr);
-    if (capture && !flags.json_out.empty()) {
-      if (WriteFleetStatsJson(prefix, flags.json_out)) {
-        std::printf("wrote fleet stats: %s\n", flags.json_out.c_str());
-      } else {
-        std::fprintf(stderr, "FAILED to write %s\n", flags.json_out.c_str());
-        return 1;
-      }
-    }
+    if (capture) artifact = prefix;
     for (const auto& [label, s] :
          {std::pair<const char*, const FleetStats&>{"affinity", affinity},
           {"prefix_aware", prefix}}) {
@@ -149,6 +144,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nprefix_aware on >=50%% shared mixes: %s; disjoint parity: %s\n",
       shared_win ? "WIN" : "LOSS", disjoint_ok ? "OK" : "REGRESSED");
+  if (!bench::WriteFleetArtifact(flags.json_out, artifact)) return 1;
   if (!obs::WriteProfile(flags)) return 1;
   if (!obs::WriteTelemetry(flags, recorder, metrics)) return 1;
   return shared_win && disjoint_ok ? 0 : 1;

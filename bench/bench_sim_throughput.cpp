@@ -304,21 +304,10 @@ int main(int argc, char** argv) {
     w.Key("peak_rss_mb").Number(bench::PeakRssMb());
     bench::Provenance().Write(w);
     w.EndObject();
-    std::string json = w.TakeString();
-    json.push_back('\n');
-    if (!JsonSyntaxValid(json)) {
-      std::fprintf(stderr, "FAILED: emitted invalid JSON\n");
+    if (!bench::WriteJsonArtifact(flags.json_out, w.TakeString(),
+                                  "bench summary")) {
       return 1;
     }
-    std::FILE* f = std::fopen(flags.json_out.c_str(), "w");
-    if (f == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
-      if (f != nullptr) std::fclose(f);
-      std::fprintf(stderr, "FAILED to write %s\n", flags.json_out.c_str());
-      return 1;
-    }
-    std::fclose(f);
-    std::printf("wrote bench summary: %s\n", flags.json_out.c_str());
   }
 
   // Soak gate: conservation and nonzero work everywhere, plus oracle parity

@@ -1,7 +1,6 @@
 #include "cluster/fleet_stats.hpp"
 
 #include <algorithm>
-#include <fstream>
 
 #include "util/json.hpp"
 #include "util/stats.hpp"
@@ -238,6 +237,12 @@ void WriteTriple(JsonWriter& w, const char* key, const PercentileTriple& t) {
 std::string FleetStatsToJson(const FleetStats& stats) {
   JsonWriter w;
   w.BeginObject();
+  WriteFleetStatsMembers(w, stats);
+  w.EndObject();
+  return w.TakeString();
+}
+
+void WriteFleetStatsMembers(JsonWriter& w, const FleetStats& stats) {
   w.Key("submitted").Number(static_cast<std::uint64_t>(stats.submitted));
   w.Key("completed").Number(static_cast<std::uint64_t>(stats.completed));
   w.Key("dropped").Number(static_cast<std::uint64_t>(stats.dropped));
@@ -344,16 +349,6 @@ std::string FleetStatsToJson(const FleetStats& stats) {
     w.EndObject();
   }
   w.EndArray();
-  w.EndObject();
-  return w.TakeString();
-}
-
-bool WriteFleetStatsJson(const FleetStats& stats, const std::string& path) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return false;
-  const std::string body = FleetStatsToJson(stats) + "\n";
-  file.write(body.data(), static_cast<std::streamsize>(body.size()));
-  return static_cast<bool>(file);
 }
 
 }  // namespace liquid::cluster

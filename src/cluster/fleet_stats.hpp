@@ -14,6 +14,7 @@
 #include "cluster/router.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/workload.hpp"
+#include "util/json.hpp"
 
 namespace liquid::cluster {
 
@@ -192,7 +193,8 @@ void PrintFleetStats(const FleetStats& stats);
 /// benches archive instead of scraping tables.  Deterministic byte-for-byte
 /// for a fixed FleetStats.
 [[nodiscard]] std::string FleetStatsToJson(const FleetStats& stats);
-/// Writes FleetStatsToJson to `path` (trailing newline); false on I/O error.
-bool WriteFleetStatsJson(const FleetStats& stats, const std::string& path);
+/// The members of that object, emitted into an object `w` has open, so an
+/// artifact can carry its own keys beside them.
+void WriteFleetStatsMembers(JsonWriter& w, const FleetStats& stats);
 
 }  // namespace liquid::cluster

@@ -2,7 +2,10 @@
 // Lock-free, append-only memo of a pure cost function of one integer.
 //
 // ServingEngine prices every step with the simgpu roofline walk, a pure
-// function of the GEMM row count.  Engines are shared by identically
+// function of the GEMM row count.  The engine keys its tables by the count's
+// row class (simgpu::EquivalentRows), which the walk prices identically to
+// the count, except an MoE layer's table, which keys by the count itself;
+// this memo only sees the key.  Engines are shared by identically
 // configured fleet replicas, and the parallel cluster runtime steps replicas
 // on several threads at once, so the memo in front of that walk must be safe
 // to query concurrently without a lock on the hot path.

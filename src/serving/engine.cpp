@@ -43,13 +43,18 @@ double ServingEngine::OthersPerLayer(std::size_t batch) const {
 }
 
 double ServingEngine::LayerGemmSeconds(std::size_t m) const {
-  return layer_gemm_seconds_.Get(m, [this](std::size_t rows) {
+  // An MoE layer's expert GEMMs see m * top_k / experts rows, whose row
+  // class is not a function of m's class, so its table keys by m itself.
+  const std::size_t key =
+      model_.experts <= 1 ? simgpu::EquivalentRows(kernel_, m) : m;
+  return layer_gemm_seconds_.Get(key, [this](std::size_t rows) {
     return simgpu::SimulateGemmSequence(hw_, kernel_, model_.LayerGemms(rows));
   });
 }
 
 double ServingEngine::LmHeadSeconds(std::size_t batch) const {
-  return lm_head_seconds_.Get(batch, [this](std::size_t rows) {
+  const std::size_t key = simgpu::EquivalentRows(kernel_, batch);
+  return lm_head_seconds_.Get(key, [this](std::size_t rows) {
     const simgpu::GemmCall lm_head{
         GemmShape{rows, static_cast<std::size_t>(model_.vocab),
                   static_cast<std::size_t>(model_.hidden)},

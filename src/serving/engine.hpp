@@ -133,9 +133,17 @@ class ServingEngine {
 
   /// The simgpu roofline walk is the only expensive term of every cost above
   /// and depends on one integer, the GEMM row count (the batch, for the LM
-  /// head), so its results live in two CostTables indexed by that count and
-  /// filled on first use; building an engine (and a fleet of them) stays
-  /// cheap.  Attention and "others" are a few flops and are computed per call.
+  /// head), so its results live in two CostTables filled on first use;
+  /// building an engine (and a fleet of them) stays cheap.  Attention and
+  /// "others" are a few flops and are computed per call.
+  ///
+  /// Keys: a table slot holds a row CLASS, simgpu::EquivalentRows(kernel_,
+  /// m), not the raw count, because the walk prices every count in a class
+  /// bitwise identically; a fleet that sees thousands of distinct prompt
+  /// lengths then walks a few dozen classes (47 for rows 1..4096 on
+  /// LiquidGEMM).  The one exception is an MoE model's layer table: its
+  /// expert GEMMs see m * top_k / experts rows, whose class is not a
+  /// function of m's class, so it keys by the raw m.
   ///
   /// Thread safety: every const member may be called from any number of
   /// threads at once.  The tables are lock-free and append-only, which is
@@ -143,17 +151,17 @@ class ServingEngine {
   /// the parallel runtime steps them on different threads.
   ///
   /// Memory: each table is an 8 KB page directory plus one 8 KB page per
-  /// 1024-count range actually priced, so an engine holds 16 KB of
+  /// 1024-key range actually priced, so an engine holds 16 KB of
   /// directories plus 8 KB per touched range: one page per table for decode
   /// batches up to 1023, 72 KB of pages for prompts up to 8k tokens, about
-  /// 2 MB for Table 1's 256-batch x 1024-token prefill sweep, and never more
-  /// than 8 MB per table.  Counts past CostTable::kCapacity (~1M rows) are
-  /// priced directly on every call.
+  /// 2 MB for Table 1's 256-batch x 1024-token prefill sweep (its classes
+  /// still land in every page), and never more than 8 MB per table.  Keys
+  /// past CostTable::kCapacity (~1M rows) are priced directly on every call.
   ///
   /// Determinism audit: a slot only ever holds -1 or the exact double a
-  /// direct computation returns for its count, and it is only read by index,
-  /// so a cached cost never depends on query order or on which thread filled
-  /// it.
+  /// direct computation returns for every count its key stands for, and it
+  /// is only read by index, so a cached cost never depends on query order or
+  /// on which thread filled it.
   mutable CostTable layer_gemm_seconds_;
   mutable CostTable lm_head_seconds_;
 };

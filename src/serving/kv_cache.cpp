@@ -25,6 +25,7 @@ void PrefixIndex::Add(std::uint64_t hash) {
   while (slots_[i].count != 0) i = (i + 1) & mask;
   slots_[i] = {hash, 1};
   ++size_;
+  ++epoch_;
 }
 
 void PrefixIndex::Remove(std::uint64_t hash) {
@@ -45,6 +46,7 @@ void PrefixIndex::Remove(std::uint64_t hash) {
   }
   slots_[hole].count = 0;
   --size_;
+  ++epoch_;
 }
 
 void PrefixIndex::Grow() {

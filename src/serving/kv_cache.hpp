@@ -51,6 +51,11 @@ class PrefixIndex {
     }
     return run;
   }
+  /// Membership version: bumped whenever a hash enters the index (count
+  /// 0 -> 1) or leaves it (1 -> 0), and at no other time.  Every query above
+  /// reads membership only, so two calls separated by no epoch change return
+  /// the same answer; callers memoize index-derived values on it.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Distinct resident hashes.
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -99,6 +104,7 @@ class PrefixIndex {
   /// only reinserts them; every query is a keyed lookup.
   std::vector<Slot> slots_;
   std::size_t size_ = 0;  ///< occupied slots
+  std::uint64_t epoch_ = 0;
 };
 
 /// Descriptor of a sequence's KV state detached from any one block manager —

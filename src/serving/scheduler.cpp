@@ -23,7 +23,7 @@ void ContinuousBatchScheduler::Submit(Request request) {
                                 request.EffectiveArrival()),
                        request.id, static_cast<double>(trace_pid_ - 1));
   }
-  waiting_.push_back(request);
+  waiting_.push_back({request});
 }
 
 bool ContinuousBatchScheduler::AcceptMigrated(Request request,
@@ -36,7 +36,7 @@ bool ContinuousBatchScheduler::AcceptMigrated(Request request,
                                 request.EffectiveArrival()),
                        request.id, static_cast<double>(trace_pid_ - 1));
   }
-  waiting_.push_back(request);
+  waiting_.push_back({request});
   return true;
 }
 
@@ -79,7 +79,7 @@ double ContinuousBatchScheduler::PrefillCharge(const Request& request,
 
 void ContinuousBatchScheduler::Admit() {
   while (!waiting_.empty() && running_.size() < max_batch_) {
-    const Request& next = waiting_.front();
+    const Request& next = waiting_.front().request;
     if (next.EffectiveArrival() > stats_.simulated_seconds) break;
     if (next.kv_migrated && pool_.HasSequence(next.id)) {
       // The KV landed via AcceptMigrated: nothing to allocate, no prefill to
@@ -181,7 +181,7 @@ void ContinuousBatchScheduler::Preempt() {
   // The credit's backing blocks may have left the pool by re-admission time;
   // the retry recomputes its full prefill (and re-registers its hashes then).
   retry.cached_prefix_blocks = 0;
-  waiting_.push_front(retry);
+  waiting_.push_front({retry});
   ++stats_.preemptions;
 }
 
@@ -240,8 +240,8 @@ bool ContinuousBatchScheduler::Step() {
   LIQUID_PROF_SCOPE("engine/step");
   // If idle and the head request is in the future, fast-forward the clock.
   if (running_.empty() && !waiting_.empty() &&
-      waiting_.front().EffectiveArrival() > stats_.simulated_seconds) {
-    stats_.simulated_seconds = waiting_.front().EffectiveArrival();
+      waiting_.front().request.EffectiveArrival() > stats_.simulated_seconds) {
+    stats_.simulated_seconds = waiting_.front().request.EffectiveArrival();
   }
   {
     LIQUID_PROF_SCOPE("engine/step/admit");
@@ -251,13 +251,14 @@ bool ContinuousBatchScheduler::Step() {
     if (waiting_.empty()) return false;
     // Nothing is running, so no blocks will ever be freed: the head request
     // cannot fit even a drained pool.  Drop it rather than livelock.
+    const SeqId dropped = waiting_.front().request.id;
     if (trace_ != nullptr) {
       trace_->Instant(obs::TraceEventType::kPoolDrop, stats_.simulated_seconds,
-                      trace_pid_, obs::kTidLifecycle, waiting_.front().id);
+                      trace_pid_, obs::kTidLifecycle, dropped);
       trace_->AsyncEnd(obs::TraceEventType::kStageQueued,
-                       stats_.simulated_seconds, waiting_.front().id);
+                       stats_.simulated_seconds, dropped);
     }
-    dropped_ids_.push_back(waiting_.front().id);
+    dropped_ids_.push_back(dropped);
     waiting_.pop_front();
     ++stats_.dropped;
     return true;
@@ -397,7 +398,7 @@ void ContinuousBatchScheduler::StepUntil(double deadline) {
     // here at `deadline` is admitted at its true arrival time.
     if (running_.empty() &&
         (waiting_.empty() ||
-         waiting_.front().EffectiveArrival() > deadline)) {
+         waiting_.front().request.EffectiveArrival() > deadline)) {
       stats_.simulated_seconds = deadline;
       return;
     }
@@ -415,9 +416,9 @@ std::vector<Request> ContinuousBatchScheduler::Drain() {
       trace_->AsyncEnd(obs::TraceEventType::kStageRun,
                        stats_.simulated_seconds, r.request.id);
     }
-    for (const Request& w : waiting_) {
+    for (const Waiting& w : waiting_) {
       trace_->AsyncEnd(obs::TraceEventType::kStageQueued,
-                       stats_.simulated_seconds, w.id);
+                       stats_.simulated_seconds, w.request.id);
     }
   }
   for (const Running& r : running_) {
@@ -431,9 +432,9 @@ std::vector<Request> ContinuousBatchScheduler::Drain() {
     out.push_back(req);
   }
   running_.clear();
-  for (const Request& w : waiting_) {
-    pool_.Free(w.id);  // no-op unless KV was imported before admission
-    Request req = w;
+  for (const Waiting& w : waiting_) {
+    pool_.Free(w.request.id);  // no-op unless KV was imported before admission
+    Request req = w.request;
     req.kv_migrated = false;
     req.cached_prefix_blocks = 0;
     out.push_back(req);
@@ -450,9 +451,9 @@ ContinuousBatchScheduler::ForfeitedWork ContinuousBatchScheduler::Forfeit() {
       trace_->AsyncEnd(obs::TraceEventType::kStageRun,
                        stats_.simulated_seconds, r.request.id);
     }
-    for (const Request& w : waiting_) {
+    for (const Waiting& w : waiting_) {
       trace_->AsyncEnd(obs::TraceEventType::kStageQueued,
-                       stats_.simulated_seconds, w.id);
+                       stats_.simulated_seconds, w.request.id);
     }
   }
   // A request's original shape is recoverable from the preemption bookkeeping:
@@ -474,9 +475,9 @@ ContinuousBatchScheduler::ForfeitedWork ContinuousBatchScheduler::Forfeit() {
     reset(r.request, r.generated);
   }
   running_.clear();
-  for (const Request& w : waiting_) {
-    pool_.Free(w.id);  // no-op unless KV was imported before admission
-    reset(w, 0);
+  for (const Waiting& w : waiting_) {
+    pool_.Free(w.request.id);  // no-op unless KV was imported before admission
+    reset(w.request, 0);
   }
   waiting_.clear();
   return out;
@@ -518,13 +519,20 @@ double ContinuousBatchScheduler::PredictTtft(
                                         cached_tokens) *
                 slowdown_
           : engine_.PrefillSeconds(1, prompt_tokens) * slowdown_;
-  for (const Request& w : waiting_) {
-    if (w.kv_migrated && pool_.HasSequence(w.id)) continue;
-    const std::size_t w_cached = CachedPrefixTokens(w);
-    eta += (w_cached > 0 ? engine_.PrefillChunkSeconds(
-                               w.prompt_tokens - w_cached, w_cached)
-                         : engine_.PrefillSeconds(1, w.prompt_tokens)) *
-           slowdown_;
+  // A queued term changes only with the index membership (through
+  // CachedPrefixTokens) or the slowdown; anything else it reads is fixed
+  // while the request waits.  So every term is repriced when either moved
+  // since the last call, and otherwise only the entries queued since then.
+  const std::uint64_t epoch = pool_.prefix_index().epoch();
+  const bool stale = epoch != priced_epoch_ || slowdown_ != priced_slowdown_;
+  priced_epoch_ = epoch;
+  priced_slowdown_ = slowdown_;
+  for (const Waiting& w : waiting_) {
+    if (w.request.kv_migrated && pool_.HasSequence(w.request.id)) continue;
+    if (stale || w.prefill < 0) {
+      w.prefill = PrefillCharge(w.request, CachedPrefixTokens(w.request));
+    }
+    eta += w.prefill;
   }
   if (chunk_ > 0) {
     // Mid-flight chunked prefills: only their REMAINING chunks are ahead of

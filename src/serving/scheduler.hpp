@@ -167,6 +167,18 @@ class ContinuousBatchScheduler {
   /// own prefill shrinks to the uncached suffix), so admission control and
   /// TTFT-scoring placement both see locality; it is in TOKENS because the
   /// signature's block size need not match this pool's.
+  ///
+  /// Cost: each queued request's prefill term (its PrefillCharge at its live
+  /// prefix credit) is cached next to it in the queue.  A term reads only the
+  /// request, which is fixed while it waits, the pool's PrefixIndex
+  /// membership and the slowdown, so the cache is exact under this rule:
+  /// every term is repriced when PrefixIndex::epoch() or the slowdown
+  /// changed since the last call, and otherwise only entries queued since
+  /// then (Submit, AcceptMigrated, a preempted retry) are priced.  The terms
+  /// are still summed one by one in FIFO order, so the estimate is the same
+  /// double an uncached walk returns.  The migrated-KV skip stays a live
+  /// check.  The cache is scheduler state like the queue itself: only the
+  /// thread that owns the scheduler may call this.
   [[nodiscard]] double PredictTtft(
       std::size_t prompt_tokens, std::size_t cached_prefix_tokens = 0) const;
 
@@ -248,7 +260,17 @@ class ContinuousBatchScheduler {
   double slowdown_ = 1.0;  ///< degradation factor on every compute charge
   obs::TraceRecorder* trace_ = nullptr;  ///< null = tracing disabled
   std::int32_t trace_pid_ = 0;  ///< this replica's trace process lane
-  std::deque<Request> waiting_;
+  /// A queued request with its prefill term as PredictTtft last priced it
+  /// (PrefillCharge at the live prefix credit; -1 until first priced).
+  struct Waiting {
+    Request request;
+    mutable double prefill = -1;
+  };
+  std::deque<Waiting> waiting_;
+  /// Index epoch and slowdown the cached Waiting::prefill terms were priced
+  /// at; PredictTtft reprices every term when either has moved.
+  mutable std::uint64_t priced_epoch_ = 0;
+  mutable double priced_slowdown_ = 1.0;
   std::vector<Running> running_;
   SchedulerStats stats_;
   std::vector<RequestTiming> completions_;

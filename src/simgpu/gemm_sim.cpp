@@ -12,7 +12,20 @@ std::size_t CeilDiv(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 /// Rounds the batch up to the WGMMA n-granularity of 8.
 std::size_t RoundUp8(std::size_t m) { return std::max<std::size_t>(8, (m + 7) / 8 * 8); }
 
+/// SimulateGemm's GEMV fast path takes `m` (already clamped to >= 1).
+bool TakesGemvPath(const KernelConfig& cfg, std::size_t m) {
+  return cfg.gemv_specialized && m <= static_cast<std::size_t>(cfg.gemv_max_m);
+}
+
 }  // namespace
+
+std::size_t EquivalentRows(const KernelConfig& cfg, std::size_t m) {
+  m = std::max<std::size_t>(1, m);
+  if (TakesGemvPath(cfg, m)) return 1;
+  const std::size_t tile_m = static_cast<std::size_t>(cfg.tile_m);
+  if (RoundUp8(m) < tile_m) return RoundUp8(m);
+  return CeilDiv(m, tile_m) * tile_m;
+}
 
 GemmSimResult SimulateGemm(const HardwareSpec& hw, const KernelConfig& cfg,
                            const GemmShape& shape,
@@ -25,7 +38,7 @@ GemmSimResult SimulateGemm(const HardwareSpec& hw, const KernelConfig& cfg,
   // GEMV fast path: a weight-streaming kernel that reads every weight byte
   // once at near-peak bandwidth with no tensor-core tiling; dequant (if any)
   // trivially hides behind the stream at these intensities.
-  if (cfg.gemv_specialized && m <= static_cast<std::size_t>(cfg.gemv_max_m)) {
+  if (TakesGemvPath(cfg, m)) {
     const double bytes = static_cast<double>(shape.n) *
                          static_cast<double>(shape.k) * cfg.weight_bits / 8.0;
     const double per_gemm = bytes / (hw.mem_bw_bytes * cfg.gemv_mem_efficiency);

@@ -7,6 +7,7 @@
 // blocks.  Grouped GEMMs (MoE experts, Section 7.3 ablation) either relaunch
 // per group (baselines) or stream through one persistent kernel (LiquidGEMM).
 
+#include <cstddef>
 #include <vector>
 
 #include "core/types.hpp"
@@ -38,6 +39,22 @@ struct GemmSimResult {
 GemmSimResult SimulateGemm(const HardwareSpec& hw, const KernelConfig& cfg,
                            const GemmShape& shape,
                            const GemmSimOptions& options = {});
+
+/// The canonical row count that SimulateGemm prices identically to `m` rows
+/// on kernel `cfg`, for any shape, hardware and grouping.  SimulateGemm sees
+/// the row count only through three quantities, so rows that agree on all
+/// three get bitwise-equal results:
+///  * on the GEMV path (gemv_specialized, m <= gemv_max_m) it never reads m:
+///    the class is 1;
+///  * below the batch tile, the effective tile is RoundUp8(m) and the grid
+///    has one m-tile, so only RoundUp8(m) matters: the class is RoundUp8(m);
+///  * from the tile on, the tile is fixed at cfg.tile_m and only the number
+///    of m-tiles matters: the class is ceil(m / tile_m) * tile_m.
+/// m = 0 is priced as 1 row, like SimulateGemm does.  The rule shares
+/// RoundUp8 and CeilDiv with the walk, so the two cannot drift apart; on
+/// LiquidGEMM the rows 1..4096 fall into 47 classes.  Cost memos key by the
+/// class so that every distinct row count in a class shares one walk.
+std::size_t EquivalentRows(const KernelConfig& cfg, std::size_t m);
 
 /// Latency of a sequence of GEMMs executed back to back (one transformer
 /// layer's QKV/O/FFN chain); each entry may itself be grouped (MoE experts).

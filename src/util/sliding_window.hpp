@@ -52,7 +52,7 @@ class SlidingWindowStats {
     std::vector<double> values;
     values.reserve(samples_.size());
     for (const Sample& s : samples_) values.push_back(s.value);
-    return liquid::Percentile(values, p);
+    return PercentileInPlace(values, p);
   }
 
   [[nodiscard]] double Mean(double now) {

@@ -39,16 +39,25 @@ Summary Summarize(std::span<const double> values) {
 Summary Summarize(std::span<const float> values) { return SummarizeImpl(values); }
 
 double Percentile(std::span<const double> values, double p) {
+  std::vector<double> scratch(values.begin(), values.end());
+  return PercentileInPlace(scratch, p);
+}
+
+double PercentileInPlace(std::span<double> values, double p) {
   if (values.empty()) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double rank =
-      (p / 100.0) * static_cast<double>(sorted.size() - 1);
+  const double rank = (p / 100.0) * static_cast<double>(values.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // The two order statistics a full sort would put at `lo` and `hi`: select
+  // the low one, then the high one is the least of the values after it.
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double lo_value = *lo_it;
+  const double hi_value =
+      hi == lo ? lo_value : *std::min_element(lo_it + 1, values.end());
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 double MeanSquaredError(std::span<const float> reference,

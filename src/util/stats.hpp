@@ -20,8 +20,12 @@ struct Summary {
 Summary Summarize(std::span<const double> values);
 Summary Summarize(std::span<const float> values);
 
-/// Linear-interpolated percentile; `p` in [0, 100]. Copies and sorts.
+/// Linear-interpolated percentile; `p` in [0, 100]; 0 for no values.
+/// Copies the values once and selects the two order statistics around the
+/// rank (no full sort).
 double Percentile(std::span<const double> values, double p);
+/// Percentile without the copy: reorders `values` in place.
+double PercentileInPlace(std::span<double> values, double p);
 
 /// Mean squared error between a reference tensor and its reconstruction.
 double MeanSquaredError(std::span<const float> reference,

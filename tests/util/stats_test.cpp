@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <vector>
 
 namespace liquid {
@@ -31,6 +33,29 @@ TEST(StatsTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(Percentile(v, 100), 50.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 25), 20.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 12.5), 15.0);
+}
+
+// Selection must read exactly the two order statistics a full sort puts at
+// the interpolation ranks, ties and duplicates included.
+TEST(StatsTest, PercentileMatchesSortedDefinition) {
+  std::mt19937_64 rng(5);
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 101u, 1000u}) {
+    std::vector<double> v(n);
+    for (double& x : v) x = static_cast<double>(rng() % 64) * 0.25;
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 1.0, 12.5, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+      const double rank = (p / 100.0) * static_cast<double>(n - 1);
+      const std::size_t lo = static_cast<std::size_t>(rank);
+      const std::size_t hi = std::min(lo + 1, n - 1);
+      const double frac = rank - static_cast<double>(lo);
+      const double expected = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+      EXPECT_EQ(Percentile(v, p), expected) << "n=" << n << " p=" << p;
+      std::vector<double> scratch = v;
+      EXPECT_EQ(PercentileInPlace(scratch, p), expected)
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(StatsTest, MseAndSqnr) {
