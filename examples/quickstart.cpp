@@ -35,7 +35,7 @@ int main() {
   std::printf("== LiquidGEMM quickstart ==\n");
   const PreparedWeights prep = PrepareWeights(weights, calib, {});
   std::printf("offline: smooth alpha = %.1f, group size = %zu\n",
-              prep.smooth_alpha, prep.weights.group_size);
+              prep.smooth_alpha, prep.weights.group_size());
   std::printf("weights: FP32 %s -> W4A8 %s (%.1fx smaller)\n",
               HumanBytes(static_cast<double>(weights.size()) * 4).c_str(),
               HumanBytes(static_cast<double>(prep.weights.StorageBytes())).c_str(),

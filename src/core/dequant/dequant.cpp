@@ -13,8 +13,8 @@ void StoreDequanted8(const Dequanted8& d, std::int8_t* out) {
 
 void LqqDequantRow(const LqqWeights& w, std::size_t row,
                    std::span<std::int8_t> out, IsaCounter* c) {
-  assert(out.size() >= w.k);
-  const std::size_t regs_per_group = w.group_size / 8;
+  assert(out.size() >= w.k());
+  const std::size_t regs_per_group = w.group_size() / 8;
   const std::size_t regs_per_row = w.RegistersPerRow();
   for (std::size_t r = 0; r < regs_per_row; ++r) {
     const LqqGroupParams& p = w.Params(row, r / regs_per_group);

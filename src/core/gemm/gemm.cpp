@@ -78,57 +78,6 @@ void CheckPackedW4A8(const char* kernel, std::size_t n, std::size_t k,
   }
 }
 
-// The Section 4 bound, q*s + a <= 255 for every stored code, is what makes
-// Eq. 12 an exact affine map, and the AVX2 kernel relies on it.
-//
-// Group gi's codes are compared against its largest safe code
-// t = (255 - a) / s, eight at a time: adding 15 - t to a nibble carries into
-// bit 4 exactly when the nibble exceeds t.
-void CheckLqqCodes(const char* kernel, const LqqWeights& w, std::size_t gi) {
-  const std::size_t regs_per_group = w.group_size / 8;
-  const LqqGroupParams& p = w.group_params[gi];
-  const std::uint32_t largest_safe = (255u - p.offset) / p.scale;
-  const std::uint32_t carry = (15u - largest_safe) * 0x01010101u;
-  std::uint32_t overflow = 0;
-  for (std::size_t r = 0; r < regs_per_group; ++r) {
-    const std::uint32_t reg = w.packed[gi * regs_per_group + r];
-    overflow |= ((reg & 0x0F0F0F0Fu) + carry) |
-                (((reg >> 4) & 0x0F0F0F0Fu) + carry);
-  }
-  if ((overflow & 0x10101010u) != 0) {
-    const std::size_t per_row = w.GroupsPerRow();
-    ThrowShape(kernel, "row " + std::to_string(gi / per_row) + " group " +
-                           std::to_string(gi % per_row) + " (scale " +
-                           std::to_string(p.scale) + ", offset " +
-                           std::to_string(p.offset) +
-                           ") stores a code above " +
-                           std::to_string(largest_safe) +
-                           ", so q*s + a exceeds 255 (Section 4 bound)");
-  }
-}
-
-// A group whose parameters alone prove the bound (15*s + a <= 255) needs no
-// code check: 99.6% of the groups QuantizeWeightsLqq emits for a Gaussian
-// 4096 x 4096 weight.  The OR of a block's bounds clears the whole block at
-// once, and that scan vectorizes.
-void CheckLqqBound(const char* kernel, const LqqWeights& w) {
-  constexpr std::size_t kBlock = 32;
-  const auto bound = [&](std::size_t gi) {
-    const LqqGroupParams& p = w.group_params[gi];
-    return 15 * p.scale + p.offset;
-  };
-  const std::size_t groups = w.group_params.size();
-  for (std::size_t g0 = 0; g0 < groups; g0 += kBlock) {
-    const std::size_t g1 = std::min(g0 + kBlock, groups);
-    int bounds = 0;
-    for (std::size_t gi = g0; gi < g1; ++gi) bounds |= bound(gi);
-    if (bounds <= 255) continue;
-    for (std::size_t gi = g0; gi < g1; ++gi) {
-      if (bound(gi) > 255) CheckLqqCodes(kernel, w, gi);
-    }
-  }
-}
-
 // Host-resident bytes the kernel actually touches (arithmetic-intensity
 // accounting): quantized activations are INT8 + one fp32 scale per token;
 // float activations/weights are fp32 storage (the fp16 kernel simulates
@@ -260,12 +209,9 @@ MatrixF GemmW4A16(const MatrixF& x, const W4A16Weights& w,
 
 MatrixF GemmW4A8Liquid(const QuantizedActivations& x, const LqqWeights& w,
                        GemmProvider provider) {
-  CheckActivations("GemmW4A8Liquid", x, w.k);
-  CheckChannelScale("GemmW4A8Liquid", w.channel_scale.size(), w.n);
-  CheckPackedW4A8("GemmW4A8Liquid", w.n, w.k, w.group_size, w.packed.size(),
-                  w.group_params.size());
-  CheckLqqBound("GemmW4A8Liquid", w);
-  gemmstats::Count(gemmstats::Kernel::kW4A8Lqq, x.q.rows(), w.n, w.k,
+  // The weight's shape and Section 4 bound were validated when it was built.
+  CheckActivations("GemmW4A8Liquid", x, w.k());
+  gemmstats::Count(gemmstats::Kernel::kW4A8Lqq, x.q.rows(), w.n(), w.k(),
                    w.StorageBytes(), ActivationBytes(x));
   return detail::Kernels(provider).w4a8_lqq(x, w);
 }

@@ -95,12 +95,12 @@ MatrixF GemmW4A16(const MatrixF& x, const W4A16Weights& w,
 /// portable providers dequantize with SWAR; the AVX2 provider never builds
 /// INT8 weights and applies Eq. 12 as a per-group scale and offset instead.
 ///
-/// Precondition, validated for every provider: each stored code q satisfies
-/// q*s + a <= 255 for its group's (s, a) — the Section 4 bound that keeps
-/// Eq. 12 inside UINT8 and makes it the exact map q*s + a - 128.  Every
-/// QuantizeWeightsLqq output meets it; a weight whose parameters were edited
-/// so that a code overflows throws std::invalid_argument, as a shape
-/// mismatch does.
+/// The weight's shape and the Section 4 bound (q*s + a <= 255 for every
+/// stored code, which keeps Eq. 12 inside UINT8 and makes it the exact map
+/// q*s + a - 128) are invariants of LqqWeights, checked once when
+/// LqqWeights::FromParts builds it.  A call therefore validates only the
+/// activations (K and token_scale against the weight) and scans no weight
+/// data before it dispatches.
 MatrixF GemmW4A8Liquid(const QuantizedActivations& x, const LqqWeights& w,
                        GemmProvider provider = GemmProvider::kAuto);
 
@@ -116,7 +116,8 @@ MatrixF GemmW4A8Qserve(const QuantizedActivations& x, const QserveWeights& w,
                        GemmProvider provider = GemmProvider::kAuto);
 
 /// Convenience: full float-in/float-out W4A8 pipeline (activation quant +
-/// LiquidGEMM).  This is the call sites' one-line entry point.
+/// LiquidGEMM).  This is the call sites' one-line entry point.  Throws
+/// std::invalid_argument if x holds a NaN or an infinity.
 MatrixF LiquidGemm(const MatrixF& x, const LqqWeights& w,
                    GemmProvider provider = GemmProvider::kAuto);
 

@@ -14,8 +14,9 @@
 //     function of the 4-bit code given the group parameters, so each group
 //     becomes a 16-byte lookup table applied to 8 packed registers (64
 //     codes) at a time with _mm256_shuffle_epi8, filling an INT8 panel.
-//   * LiquidGEMM W4A8, dequant-free: under the Section 4 bound Eq. 12 is the
-//     affine map q*s + (a - 128), so INT8 weights are never built.  The
+//   * LiquidGEMM W4A8, dequant-free: under the Section 4 bound, which every
+//     LqqWeights holds by construction, Eq. 12 is the affine map
+//     q*s + (a - 128), so INT8 weights are never built.  The
 //     4-bit codes go straight into _mm256_maddubs_epi16 (codes <= 15 keep
 //     its pair sums far below saturation), one _mm256_madd_epi16 by the
 //     group scale widens to int32, and (a - 128) multiplies per-group
@@ -473,8 +474,8 @@ void LqqTile(const LqqPanel& p, const QuantizedActivations& x,
   // its own codes instead, so no address leaves the packed array.
   std::size_t ahead[NR];
   for (std::size_t j = 0; j < NR; ++j) {
-    ahead[j] = n0 + j0 + j + kLqqPanelRows < w.n ? kLqqPanelRows * p.k_regs
-                                                 : 0;
+    ahead[j] = n0 + j0 + j + kLqqPanelRows < w.n() ? kLqqPanelRows * p.k_regs
+                                                   : 0;
   }
   for (std::size_t c = 0; c < full; ++c) {
     __m256i v[NR];
@@ -517,7 +518,7 @@ void LqqTile(const LqqPanel& p, const QuantizedActivations& x,
     for (std::size_t j = 0; j < NR; ++j) {
       const std::size_t nu = n0 + j0 + j;
       y.At(m0 + i, nu) = static_cast<float>(HorizontalSum(acc[i][j])) *
-                         x.token_scale[m0 + i] * w.channel_scale[nu];
+                         x.token_scale[m0 + i] * w.channel_scale()[nu];
     }
   }
 }
@@ -552,20 +553,20 @@ void LqqPanelToOutput(const LqqPanel& p, const QuantizedActivations& x,
 
 MatrixF Avx2W4A8Lqq(const QuantizedActivations& x, const LqqWeights& w) {
   const std::size_t m_dim = x.q.rows();
-  const std::size_t k = w.k;
-  const std::size_t span = SumSpanCodes(w.group_size);
-  const bool chunk_scale = w.group_size % kChunkCodes == 0;
+  const std::size_t k = w.k();
+  const std::size_t span = SumSpanCodes(w.group_size());
+  const bool chunk_scale = w.group_size() % kChunkCodes == 0;
   const std::size_t scales_per_group =
-      chunk_scale ? w.group_size / kChunkCodes : w.group_size / 8;
+      chunk_scale ? w.group_size() / kChunkCodes : w.group_size() / 8;
   const std::size_t x_stride = RoundUp(k, kChunkCodes);
   const std::size_t sum_stride = RoundUp(k / span, kSumsPerVector);
   const std::size_t scale_stride =
       chunk_scale ? x_stride / kChunkCodes : x_stride / 8;
   std::vector<std::int8_t> xs(m_dim * x_stride);
   std::vector<std::int16_t> sums(m_dim * sum_stride);
-  MatrixF y(m_dim, w.n);
+  MatrixF y(m_dim, w.n());
   const std::ptrdiff_t panels = static_cast<std::ptrdiff_t>(
-      (w.n + kLqqPanelRows - 1) / kLqqPanelRows);
+      (w.n() + kLqqPanelRows - 1) / kLqqPanelRows);
 #pragma omp parallel
   {
 #pragma omp for schedule(static)
@@ -588,13 +589,13 @@ MatrixF Avx2W4A8Lqq(const QuantizedActivations& x, const LqqWeights& w) {
 #pragma omp for schedule(static)
     for (std::ptrdiff_t pi = 0; pi < panels; ++pi) {
       const std::size_t n0 = static_cast<std::size_t>(pi) * kLqqPanelRows;
-      const std::size_t rows = std::min(kLqqPanelRows, w.n - n0);
+      const std::size_t rows = std::min(kLqqPanelRows, w.n() - n0);
       for (std::size_t j = 0; j < rows; ++j) {
-        ExpandLqqRow(&w.group_params[(n0 + j) * w.GroupsPerRow()],
-                     w.GroupsPerRow(), scales_per_group, w.group_size / span,
+        ExpandLqqRow(&w.group_params()[(n0 + j) * w.GroupsPerRow()],
+                     w.GroupsPerRow(), scales_per_group, w.group_size() / span,
                      &scale[j * scale_stride], &offset[j * sum_stride]);
       }
-      p.regs = w.packed.data() + n0 * w.RegistersPerRow();
+      p.regs = w.packed().data() + n0 * w.RegistersPerRow();
       if (chunk_scale) {
         LqqPanelToOutput<true>(p, x, w, n0, rows, y);
       } else {

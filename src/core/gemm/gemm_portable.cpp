@@ -55,7 +55,7 @@ float DotF32Unrolled(const float* a, const float* b, std::size_t k) {
 /// INT8 row for output channel nu.
 template <typename DequantRowFn>
 MatrixF PanelGemmI8(const QuantizedActivations& x, std::size_t n_dim,
-                    std::size_t k, const std::vector<float>& channel_scale,
+                    std::size_t k, std::span<const float> channel_scale,
                     DequantRowFn&& dequant_row) {
   const std::size_t m_dim = x.q.rows();
   MatrixF y(m_dim, n_dim);
@@ -149,7 +149,7 @@ MatrixF PortableW4A16(const MatrixF& x, const W4A16Weights& w) {
 }
 
 MatrixF PortableW4A8Lqq(const QuantizedActivations& x, const LqqWeights& w) {
-  return PanelGemmI8(x, w.n, w.k, w.channel_scale,
+  return PanelGemmI8(x, w.n(), w.k(), w.channel_scale(),
                      [&w](std::size_t nu, std::span<std::int8_t> out) {
                        LqqDequantRow(w, nu, out);
                      });

@@ -91,22 +91,22 @@ MatrixF RefW4A16(const MatrixF& x, const W4A16Weights& w) {
 }
 
 MatrixF RefW4A8Lqq(const QuantizedActivations& x, const LqqWeights& w) {
-  MatrixF y(x.q.rows(), w.n);
+  MatrixF y(x.q.rows(), w.n());
 #pragma omp parallel
   {
     // Per-thread scratch, hoisted out of the channel loop.
-    std::vector<std::int8_t> wrow(w.k);
+    std::vector<std::int8_t> wrow(w.k());
 #pragma omp for schedule(static)
-    for (std::ptrdiff_t n = 0; n < static_cast<std::ptrdiff_t>(w.n); ++n) {
+    for (std::ptrdiff_t n = 0; n < static_cast<std::ptrdiff_t>(w.n()); ++n) {
       const std::size_t nu = static_cast<std::size_t>(n);
       // Main loop, weight-stationary per output channel: SWAR dequant of the
       // packed row, then INT8 MMA against every token.
       LqqDequantRow(w, nu, wrow);
       for (std::size_t m = 0; m < x.q.rows(); ++m) {
-        const std::int32_t acc = DotI8(x.q.Row(m).data(), wrow.data(), w.k);
+        const std::int32_t acc = DotI8(x.q.Row(m).data(), wrow.data(), w.k());
         // Epilogue: first-level dequantization (token scale x channel scale).
         y.At(m, nu) = static_cast<float>(acc) * x.token_scale[m] *
-                      w.channel_scale[nu];
+                      w.channel_scale()[nu];
       }
     }
   }

@@ -36,25 +36,25 @@ std::vector<RegisterProvenance> BuildDualMmaProvenance() {
 }
 
 DualMmaPackedWeights PackDualMma(const LqqWeights& w) {
-  if (w.n % kSupertileRows != 0 || w.k % kSupertileCols != 0) {
+  if (w.n() % kSupertileRows != 0 || w.k() % kSupertileCols != 0) {
     throw std::invalid_argument(
         "PackDualMma: N and K must be multiples of 64; got N=" +
-        std::to_string(w.n) + ", K=" + std::to_string(w.k));
+        std::to_string(w.n()) + ", K=" + std::to_string(w.k()));
   }
   // Each packed register's 8 lanes span a 32-wide k range; they must fall in
   // a single quantization group so one (scale, offset) pair dequantizes the
   // whole register (see GemmW4A8LiquidDualMma).
-  if (w.group_size % 32 != 0) {
+  if (w.group_size() % 32 != 0) {
     throw std::invalid_argument(
         "PackDualMma: group_size must be a multiple of 32; got " +
-        std::to_string(w.group_size));
+        std::to_string(w.group_size()));
   }
   DualMmaPackedWeights out;
-  out.n = w.n;
-  out.k = w.k;
-  out.group_size = w.group_size;
-  out.group_params = w.group_params;
-  out.channel_scale = w.channel_scale;
+  out.n = w.n();
+  out.k = w.k();
+  out.group_size = w.group_size();
+  out.group_params.assign(w.group_params().begin(), w.group_params().end());
+  out.channel_scale.assign(w.channel_scale().begin(), w.channel_scale().end());
   out.regs.Resize(out.TilesN() * out.TilesK() * kSupertileRegs);
 
   const auto provenance = BuildDualMmaProvenance();

@@ -1,23 +1,65 @@
 #include "core/quant/first_level.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 namespace liquid {
 namespace {
 
-float MaxAbs(std::span<const float> values) {
-  float m = 0.0f;
-  for (const float v : values) m = std::max(m, std::fabs(v));
-  return m;
+// Adding and subtracting 1.5 * 2^23 rounds a float v with |v| <= 2^22 to the
+// nearest integer, ties to even: exactly std::nearbyint in the default
+// rounding mode, but without the libm call, so the loop vectorizes.
+constexpr float kRoundToEven = 12582912.0f;
+
+/// max |v| over a row, or nullopt when the row holds a NaN or an infinity.
+///
+/// With its sign bit cleared, a float's bit pattern read as an int32 orders
+/// like its magnitude, and every NaN and infinity lies above every finite
+/// value.  The integer max is therefore exact, it flags non-finite input for
+/// free, and unlike a float max chain (whose NaN semantics pin the order) it
+/// is a reduction the compiler splits across vector lanes.
+std::optional<float> FiniteAbsMax(std::span<const float> values) {
+  constexpr std::int32_t kMagnitude = 0x7fffffff;
+  constexpr std::int32_t kInfinityBits = 0x7f800000;
+  std::int32_t max_bits = 0;
+  for (const float v : values) {
+    max_bits = std::max(max_bits, std::bit_cast<std::int32_t>(v) & kMagnitude);
+  }
+  if (max_bits >= kInfinityBits) return std::nullopt;
+  return std::bit_cast<float>(max_bits);
 }
 
-std::int8_t ClampRound(float value, int bound) {
-  const float r = std::nearbyint(value);
-  const float clamped =
-      std::clamp(r, static_cast<float>(-bound), static_cast<float>(bound));
-  return static_cast<std::int8_t>(clamped);
+/// Symmetric quantization of one row to [-bound, bound]: scale =
+/// absmax/bound, q = round-half-even(x / scale).  A row whose absmax is zero,
+/// or so small that absmax/bound underflows to zero, quantizes to zeros with
+/// unit scale (avoids 0/0).  Returns the scale.  Throws
+/// std::invalid_argument on a NaN or an infinity, which no finite scale
+/// represents and which would otherwise reach the int8 cast as NaN.
+float QuantizeRow(const char* who, std::size_t row,
+                  std::span<const float> src, int bound,
+                  std::span<std::int8_t> dst) {
+  const std::optional<float> absmax = FiniteAbsMax(src);
+  if (!absmax) {
+    throw std::invalid_argument(std::string(who) + ": row " +
+                                std::to_string(row) +
+                                " holds a NaN or an infinity");
+  }
+  const float b = static_cast<float>(bound);
+  float scale = *absmax / b;
+  if (scale == 0.0f) scale = 1.0f;
+  for (std::size_t k = 0; k < src.size(); ++k) {
+    // Clamping before rounding equals rounding before clamping for an
+    // integer bound, and keeps |v| inside kRoundToEven's exact range.
+    const float v = std::clamp(src[k] / scale, -b, b);
+    dst[k] = static_cast<std::int8_t>((v + kRoundToEven) - kRoundToEven);
+  }
+  return scale;
 }
 
 }  // namespace
@@ -29,16 +71,8 @@ FirstLevelResult QuantizeFirstLevel(const MatrixF& weights,
   out.q = MatrixI8(weights.rows(), weights.cols());
   out.channel_scale.resize(weights.rows());
   for (std::size_t n = 0; n < weights.rows(); ++n) {
-    const float absmax = MaxAbs(weights.Row(n));
-    // A zero row quantizes to zeros with unit scale (avoids 0/0).
-    const float scale =
-        absmax > 0.0f ? absmax / static_cast<float>(bound) : 1.0f;
-    out.channel_scale[n] = scale;
-    const auto src = weights.Row(n);
-    const auto dst = out.q.Row(n);
-    for (std::size_t k = 0; k < src.size(); ++k) {
-      dst[k] = ClampRound(src[k] / scale, bound);
-    }
+    out.channel_scale[n] = QuantizeRow("QuantizeFirstLevel", n, weights.Row(n),
+                                       bound, out.q.Row(n));
   }
   return out;
 }
@@ -122,14 +156,8 @@ QuantizedActivations QuantizeActivationsPerToken(const MatrixF& activations) {
   out.q = MatrixI8(activations.rows(), activations.cols());
   out.token_scale.resize(activations.rows());
   for (std::size_t m = 0; m < activations.rows(); ++m) {
-    const float absmax = MaxAbs(activations.Row(m));
-    const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
-    out.token_scale[m] = scale;
-    const auto src = activations.Row(m);
-    const auto dst = out.q.Row(m);
-    for (std::size_t k = 0; k < src.size(); ++k) {
-      dst[k] = ClampRound(src[k] / scale, 127);
-    }
+    out.token_scale[m] = QuantizeRow("QuantizeActivationsPerToken", m,
+                                     activations.Row(m), 127, out.q.Row(m));
   }
   return out;
 }

@@ -28,7 +28,10 @@ struct FirstLevelOptions {
   bool protective_range = true;
 };
 
-/// Symmetric per-channel quantization of W [N x K] to INT8.
+/// Symmetric per-channel quantization of W [N x K] to INT8: scale =
+/// absmax/bound, q = round-half-even(w / scale).  A row whose absmax is zero
+/// (or so small that absmax/bound underflows) gets scale 1 and zero codes.
+/// Throws std::invalid_argument if W holds a NaN or an infinity.
 FirstLevelResult QuantizeFirstLevel(const MatrixF& weights,
                                     FirstLevelOptions options = {});
 
@@ -53,7 +56,9 @@ double SearchSmoothAlpha(const MatrixF& act_sample, const MatrixF& weights,
                          int group_size, std::span<const double> candidates);
 
 /// Per-token symmetric INT8 activation quantization (Section 6, fused
-/// on-the-fly in serving; here a standalone reference).
+/// on-the-fly in serving; here a standalone vectorized pass), with the same
+/// rounding, zero-row and non-finite rules as QuantizeFirstLevel at bound
+/// 127.
 QuantizedActivations QuantizeActivationsPerToken(const MatrixF& activations);
 
 /// Dequantizes per-token activations back to float.

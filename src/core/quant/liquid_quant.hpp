@@ -19,6 +19,8 @@
 // dequantized with one 32-bit IMAD + one XOR with no cross-byte carries.
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/quant/first_level.hpp"
@@ -35,47 +37,86 @@ struct LqqGroupParams {
 
 /// A fully quantized LQQ weight tensor, ready for the W4A8 GEMM main loop.
 ///
-/// `packed` holds K/8 registers per output channel in the paper's interleaved
-/// nibble order (Figure 8): register r of row n covers elements
+/// `packed()` holds K/8 registers per output channel in the paper's
+/// interleaved nibble order (Figure 8): register r of row n covers elements
 /// k = 8r .. 8r+7, stored as bytes [(w4<<4)|w0, (w5<<4)|w1, (w6<<4)|w2,
 /// (w7<<4)|w3].  This is the order the 3-instruction unpack expects; the
 /// Dual-MMA SMEM placement (Section 5.2) is a permutation *of registers* on
 /// top of this and lives in core/layout.
-struct LqqWeights {
-  std::size_t n = 0;           ///< output channels
-  std::size_t k = 0;           ///< reduction dim (multiple of group_size)
-  std::size_t group_size = 64; ///< paper default
-  AlignedBuffer<std::uint32_t> packed;        ///< [n * k/8]
-  std::vector<LqqGroupParams> group_params;   ///< [n * k/group_size]
-  std::vector<float> channel_scale;           ///< [n], first-level scale
+///
+/// The type holds its own invariant: every LqqWeights is well-shaped and
+/// meets the Section 4 bound, q*s + a <= 255 for every stored code q of a
+/// group with parameters (s, a).  The bound keeps Eq. 12 inside UINT8, which
+/// makes it the exact affine map q*s + a - 128 the AVX2 kernel applies.  A
+/// weight is built only by FromParts (the quantizers below go through it
+/// too), so the check runs once per weight and the GEMM trusts it.  The
+/// fields are read-only; a moved-from weight is the empty 0 x 0 weight.
+class LqqWeights {
+ public:
+  LqqWeights() = default;
+  LqqWeights(LqqWeights&& other) noexcept { *this = std::move(other); }
+  LqqWeights& operator=(LqqWeights&& other) noexcept;
 
-  [[nodiscard]] std::size_t RegistersPerRow() const { return k / 8; }
-  [[nodiscard]] std::size_t GroupsPerRow() const { return k / group_size; }
+  /// The one way to build a weight from its parts.  Throws
+  /// std::invalid_argument unless group_size is a positive multiple of 8,
+  /// k a multiple of group_size, the three arrays hold n*k/8 registers,
+  /// n*k/group_size group parameters and n channel scales, and every code
+  /// meets the Section 4 bound.
+  static LqqWeights FromParts(std::size_t n, std::size_t k,
+                              std::size_t group_size,
+                              AlignedBuffer<std::uint32_t> packed,
+                              std::vector<LqqGroupParams> group_params,
+                              std::vector<float> channel_scale);
+
+  [[nodiscard]] std::size_t n() const { return n_; }  ///< output channels
+  [[nodiscard]] std::size_t k() const { return k_; }  ///< reduction dim
+  [[nodiscard]] std::size_t group_size() const { return group_size_; }
+  [[nodiscard]] std::span<const std::uint32_t> packed() const {
+    return packed_.span();
+  }  ///< [n * k/8]
+  [[nodiscard]] std::span<const LqqGroupParams> group_params() const {
+    return group_params_;
+  }  ///< [n * k/group_size]
+  [[nodiscard]] std::span<const float> channel_scale() const {
+    return channel_scale_;
+  }  ///< [n], first-level scale
+
+  [[nodiscard]] std::size_t RegistersPerRow() const { return k_ / 8; }
+  [[nodiscard]] std::size_t GroupsPerRow() const { return k_ / group_size_; }
   [[nodiscard]] const LqqGroupParams& Params(std::size_t row,
                                              std::size_t group) const {
-    return group_params[row * GroupsPerRow() + group];
+    return group_params_[row * GroupsPerRow() + group];
   }
   [[nodiscard]] std::uint32_t Register(std::size_t row, std::size_t reg) const {
-    return packed[row * RegistersPerRow() + reg];
+    return packed_[row * RegistersPerRow() + reg];
   }
   /// Raw UINT4 value at (row, col) — test/debug accessor.
   [[nodiscard]] std::uint8_t U4At(std::size_t row, std::size_t col) const;
 
   /// Memory footprint of weights + quantization parameters in bytes.
   [[nodiscard]] std::size_t StorageBytes() const {
-    return packed.size() * 4 + group_params.size() * 2 +
-           channel_scale.size() * 4;
+    return packed_.size() * 4 + group_params_.size() * 2 +
+           channel_scale_.size() * 4;
   }
+
+ private:
+  std::size_t n_ = 0;
+  std::size_t k_ = 0;
+  std::size_t group_size_ = 64;  ///< paper default
+  AlignedBuffer<std::uint32_t> packed_;
+  std::vector<LqqGroupParams> group_params_;
+  std::vector<float> channel_scale_;
 };
 
 struct LqqOptions {
   std::size_t group_size = 64;  ///< paper default for LiquidServe
 };
 
-/// Second level only: INT8 (protective range) -> packed UINT4 + group params.
-/// Throws std::invalid_argument unless k is a multiple of group_size,
-/// group_size a multiple of 8, and every value within the protective range
-/// [-kProtectiveMax, kProtectiveMax] the overflow proof needs.
+/// Second level only: INT8 (protective range) -> packed UINT4 + group params,
+/// built through LqqWeights::FromParts.  Throws std::invalid_argument unless
+/// k is a multiple of group_size, group_size a multiple of 8, and every value
+/// within the protective range [-kProtectiveMax, kProtectiveMax] the overflow
+/// proof needs.
 LqqWeights QuantizeSecondLevelLqq(const FirstLevelResult& first,
                                   LqqOptions options = {});
 

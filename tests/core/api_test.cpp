@@ -20,8 +20,8 @@ TEST(ApiTest, PrepareWeightsBuildsEverything) {
   for (auto& v : calib.Flat()) v = static_cast<float>(rng.Normal(0, 1.0));
 
   const PreparedWeights prep = PrepareWeights(w, calib, {});
-  EXPECT_EQ(prep.weights.n, 128u);
-  EXPECT_EQ(prep.weights.k, 256u);
+  EXPECT_EQ(prep.weights.n(), 128u);
+  EXPECT_EQ(prep.weights.k(), 256u);
   EXPECT_EQ(prep.packed.TilesN(), 2u);
   EXPECT_EQ(prep.packed.TilesK(), 4u);
   EXPECT_EQ(prep.smooth_scale.size(), 256u);
@@ -47,7 +47,7 @@ TEST(ApiTest, UnalignedShapesSkipDualMmaPack) {
   options.smooth = false;
   const PreparedWeights prep = PrepareWeights(w, MatrixF(), options);
   EXPECT_EQ(prep.packed.regs.size(), 0u);
-  EXPECT_EQ(prep.weights.n, 60u);  // linear weights still built
+  EXPECT_EQ(prep.weights.n(), 60u);  // linear weights still built
 }
 
 TEST(ApiTest, SmoothingImprovesOutlierActivationsAccuracy) {

@@ -114,10 +114,10 @@ TEST(DequantTest, RowDequantMatchesReferenceLqq) {
   for (auto& v : w.Flat()) v = static_cast<float>(rng.Normal(0, 0.05));
   const LqqWeights q = QuantizeWeightsLqq(w);
   const MatrixI8 ref = DequantizeSecondLevelReference(q);
-  std::vector<std::int8_t> row(q.k);
-  for (std::size_t n = 0; n < q.n; ++n) {
+  std::vector<std::int8_t> row(q.k());
+  for (std::size_t n = 0; n < q.n(); ++n) {
     LqqDequantRow(q, n, row);
-    for (std::size_t k = 0; k < q.k; ++k) {
+    for (std::size_t k = 0; k < q.k(); ++k) {
       ASSERT_EQ(row[k], ref.At(n, k)) << n << "," << k;
     }
   }
@@ -144,7 +144,7 @@ TEST(DequantTest, InstructionCountScalesLinearly) {
   for (auto& v : w.Flat()) v = static_cast<float>(rng.Normal(0, 0.05));
   const LqqWeights q = QuantizeWeightsLqq(w);
   IsaCounter c;
-  std::vector<std::int8_t> row(q.k);
+  std::vector<std::int8_t> row(q.k());
   LqqDequantRow(q, 0, row, &c);
   // 512 elements = 64 registers x 7 instructions.
   EXPECT_EQ(c.Total(), 64u * 7);

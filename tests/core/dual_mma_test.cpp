@@ -75,9 +75,9 @@ TEST(DualMmaTest, PackUnpackRoundTrip) {
   const LqqWeights w = RandomLqq(128, 256, 1);
   const DualMmaPackedWeights packed = PackDualMma(w);
   const auto u4 = UnpackDualMmaToU4(packed);
-  for (std::size_t n = 0; n < w.n; ++n) {
-    for (std::size_t k = 0; k < w.k; ++k) {
-      ASSERT_EQ(u4[n * w.k + k], w.U4At(n, k)) << n << "," << k;
+  for (std::size_t n = 0; n < w.n(); ++n) {
+    for (std::size_t k = 0; k < w.k(); ++k) {
+      ASSERT_EQ(u4[n * w.k() + k], w.U4At(n, k)) << n << "," << k;
     }
   }
 }
@@ -95,10 +95,10 @@ TEST(DualMmaTest, TileCountAndSize) {
 TEST(DualMmaTest, GroupParamsPreserved) {
   const LqqWeights w = RandomLqq(64, 128, 3);
   const DualMmaPackedWeights packed = PackDualMma(w);
-  ASSERT_EQ(packed.group_params.size(), w.group_params.size());
-  for (std::size_t i = 0; i < w.group_params.size(); ++i) {
-    EXPECT_EQ(packed.group_params[i].scale, w.group_params[i].scale);
-    EXPECT_EQ(packed.group_params[i].offset, w.group_params[i].offset);
+  ASSERT_EQ(packed.group_params.size(), w.group_params().size());
+  for (std::size_t i = 0; i < w.group_params().size(); ++i) {
+    EXPECT_EQ(packed.group_params[i].scale, w.group_params()[i].scale);
+    EXPECT_EQ(packed.group_params[i].offset, w.group_params()[i].offset);
   }
 }
 
@@ -107,9 +107,9 @@ TEST(DualMmaTest, GroupSize32Works) {
   const LqqWeights w = RandomLqq(64, 64, 4, /*group=*/32);
   const DualMmaPackedWeights packed = PackDualMma(w);
   const auto u4 = UnpackDualMmaToU4(packed);
-  for (std::size_t n = 0; n < w.n; ++n) {
-    for (std::size_t k = 0; k < w.k; ++k) {
-      ASSERT_EQ(u4[n * w.k + k], w.U4At(n, k));
+  for (std::size_t n = 0; n < w.n(); ++n) {
+    for (std::size_t k = 0; k < w.k(); ++k) {
+      ASSERT_EQ(u4[n * w.k() + k], w.U4At(n, k));
     }
   }
 }

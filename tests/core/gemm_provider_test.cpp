@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -59,6 +61,20 @@ void ExpectBitIdentical(const MatrixF& ref, const MatrixF& got,
     ASSERT_EQ(ref.Flat()[i], got.Flat()[i])
         << kernel << " provider=" << GemmProviderName(p) << " flat index " << i;
   }
+}
+
+/// Rebuilds `w` through LqqWeights::FromParts, the one way to build a
+/// weight, with group `gi`'s parameters replaced by `params`.
+LqqWeights RebuildWithGroup(const LqqWeights& w, std::size_t gi,
+                            LqqGroupParams params) {
+  AlignedBuffer<std::uint32_t> packed(w.packed().size());
+  std::ranges::copy(w.packed(), packed.data());
+  std::vector<LqqGroupParams> groups(w.group_params().begin(),
+                                     w.group_params().end());
+  groups[gi] = params;
+  return LqqWeights::FromParts(
+      w.n(), w.k(), w.group_size(), std::move(packed), std::move(groups),
+      {w.channel_scale().begin(), w.channel_scale().end()});
 }
 
 TEST(GemmProviderTest, NamesRoundTrip) {
@@ -187,7 +203,7 @@ TEST_P(ProviderParity, W4A8LiquidExactAtExtremeMagnitudes) {
       }
     }
     const LqqWeights wq = QuantizeWeightsLqq(w, {group});
-    for (const LqqGroupParams& p : wq.group_params) {
+    for (const LqqGroupParams& p : wq.group_params()) {
       ASSERT_EQ(p.scale, 16);
       ASSERT_EQ(p.offset, 128 - kProtectiveMax);
     }
@@ -207,7 +223,9 @@ TEST_P(ProviderParity, W4A8LiquidExactAtExtremeMagnitudes) {
 
 TEST_P(ProviderParity, W4A8LiquidRejectsCodesAboveTheBound) {
   // Raising one group's offset until its largest code leaves Eq. 12's UINT8
-  // domain breaks the Section 4 bound; every provider refuses the weight.
+  // domain breaks the Section 4 bound: LqqWeights::FromParts refuses the
+  // weight, so no provider can be handed it.  One less, the largest code
+  // lands exactly on 255, and every provider still matches the reference.
   const GemmProvider provider = GetParam();
   Problem p = MakeProblem(3, 9, 256, 80);
   // Row 1, group 2: the row's absmax sits at the group's first code alone
@@ -218,24 +236,26 @@ TEST_P(ProviderParity, W4A8LiquidRejectsCodesAboveTheBound) {
   for (std::size_t c = 64; c < 128; ++c) {
     p.w.At(3, c) = (c % 2 == 0 ? 1.0f : -106.0f / 119.0f) * 0.5f;
   }
-  LqqWeights wq = QuantizeWeightsLqq(p.w);
-  ASSERT_NO_THROW(GemmW4A8Liquid(p.xq, wq, provider));
+  const LqqWeights wq = QuantizeWeightsLqq(p.w);
   // Rows 7 and 8 hold groups 31 and 32 of the weight, either side of the
   // first 32-group block the parameter scan clears at once.
   const struct { std::size_t row, group; } cases[] = {
       {1, 2}, {3, 1}, {7, 3}, {8, 0}};
   for (const auto& c : cases) {
-    LqqGroupParams& params =
-        wq.group_params[c.row * wq.GroupsPerRow() + c.group];
-    const LqqGroupParams saved = params;
+    const std::size_t gi = c.row * wq.GroupsPerRow() + c.group;
+    LqqGroupParams params = wq.Params(c.row, c.group);
     int top = 0;
     for (std::size_t k = c.group * 64; k < (c.group + 1) * 64; ++k) {
       top = std::max<int>(top, wq.U4At(c.row, k));
     }
     params.offset = static_cast<std::uint8_t>(256 - top * params.scale);
-    EXPECT_THROW(GemmW4A8Liquid(p.xq, wq, provider), std::invalid_argument)
+    EXPECT_THROW(RebuildWithGroup(wq, gi, params), std::invalid_argument)
         << "row " << c.row << " group " << c.group;
-    params = saved;
+    --params.offset;
+    const LqqWeights edge = RebuildWithGroup(wq, gi, params);
+    ExpectBitIdentical(GemmW4A8Liquid(p.xq, edge, GemmProvider::kReference),
+                       GemmW4A8Liquid(p.xq, edge, provider), provider,
+                       "W4A8Liquid-bound-edge");
   }
   // The two crafted groups are what the cases above claim.
   EXPECT_EQ(wq.U4At(1, 128), 15);
@@ -248,17 +268,18 @@ TEST_P(ProviderParity, W4A8LiquidAcceptsGroupsOnlyTheirCodesProveSafe) {
   // A row whose first-level values span [-107, 119] quantizes to s = 16,
   // a = 21: 15*s + a = 261 fails the parameter-only bound, but the largest
   // stored code is round(226 / 16) = 14 and 14*16 + 21 = 245 <= 255.
+  // FromParts accepts the group on its codes, and every provider computes
+  // it exactly.
   const GemmProvider provider = GetParam();
   Problem p = MakeProblem(5, 3, 128, 90);
   for (std::size_t c = 0; c < 128; ++c) {
     p.w.At(1, c) = (c % 3 == 0 ? 1.0f : -107.0f / 119.0f) * 0.05f;
   }
-  const LqqWeights wq = QuantizeWeightsLqq(p.w);
-  bool unproven = false;
-  for (const LqqGroupParams& g : wq.group_params) {
-    unproven |= 15 * g.scale + g.offset > 255;
-  }
-  ASSERT_TRUE(unproven);
+  const LqqWeights quantized = QuantizeWeightsLqq(p.w);
+  const std::size_t gi = 1 * quantized.GroupsPerRow();
+  const LqqGroupParams unproven = quantized.group_params()[gi];
+  ASSERT_GT(15 * unproven.scale + unproven.offset, 255);
+  const LqqWeights wq = RebuildWithGroup(quantized, gi, unproven);
   const MatrixF ref = GemmW4A8Liquid(p.xq, wq, GemmProvider::kReference);
   const MatrixF got = GemmW4A8Liquid(p.xq, wq, provider);
   ExpectBitIdentical(ref, got, provider, "W4A8Liquid-unproven-groups");

@@ -110,7 +110,7 @@ TEST(GemmTest, LiquidGemmExactlyMatchesIntegerRecomputation) {
         acc += static_cast<std::int32_t>(xq.q.At(m, k)) * wref.At(n, k);
       }
       const float expect = static_cast<float>(acc) * xq.token_scale[m] *
-                           wq.channel_scale[n];
+                           wq.channel_scale()[n];
       EXPECT_EQ(y.At(m, n), expect) << m << "," << n;
     }
   }

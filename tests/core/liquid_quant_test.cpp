@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -80,7 +82,7 @@ TEST(LiquidQuantTest, XorEqualsConditionalAdd128) {
 TEST(LiquidQuantTest, GroupParamsInRange) {
   const MatrixF w = RandomWeights(32, 512, 1);
   const LqqWeights q = QuantizeWeightsLqq(w);
-  for (const LqqGroupParams& p : q.group_params) {
+  for (const LqqGroupParams& p : q.group_params()) {
     EXPECT_GE(p.scale, 1);
     EXPECT_LE(p.scale, 16);
     EXPECT_GE(p.offset, 9);    // 128 - 119
@@ -94,9 +96,9 @@ TEST(LiquidQuantTest, SecondLevelErrorBoundedByHalfScale) {
   const FirstLevelResult first = QuantizeFirstLevel(w);
   const LqqWeights q = QuantizeSecondLevelLqq(first);
   const MatrixI8 rec = DequantizeSecondLevelReference(q);
-  for (std::size_t n = 0; n < q.n; ++n) {
-    for (std::size_t k = 0; k < q.k; ++k) {
-      const LqqGroupParams& p = q.Params(n, k / q.group_size);
+  for (std::size_t n = 0; n < q.n(); ++n) {
+    for (std::size_t k = 0; k < q.k(); ++k) {
+      const LqqGroupParams& p = q.Params(n, k / q.group_size());
       EXPECT_LE(std::abs(static_cast<int>(rec.At(n, k)) -
                          static_cast<int>(first.q.At(n, k))),
                 (p.scale + 1) / 2)
@@ -139,10 +141,108 @@ TEST(LiquidQuantTest, SecondLevelRejectsValuesOutsideProtectiveRange) {
   EXPECT_NO_THROW(QuantizeSecondLevelLqq(edge));
 }
 
+/// Every stored code of `q` meets the Section 4 bound, element by element.
+void ExpectSection4Bound(const LqqWeights& q) {
+  for (std::size_t n = 0; n < q.n(); ++n) {
+    for (std::size_t k = 0; k < q.k(); ++k) {
+      const LqqGroupParams& p = q.Params(n, k / q.group_size());
+      ASSERT_LE(q.U4At(n, k) * p.scale + p.offset, 255)
+          << "row " << n << " col " << k;
+    }
+  }
+}
+
+TEST(LiquidQuantTest, SecondLevelOutputMeetsTheBoundForEveryGroupRange) {
+  // One 8-wide group per (min, max) pair of the protective range, holding
+  // min, max and the rounding-critical values between them: every group the
+  // quantizer can meet.  LqqWeights::FromParts would throw on a violation;
+  // the element-wise check below restates the bound independently.
+  std::vector<std::pair<int, int>> ranges;
+  for (int gmin = -kProtectiveMax; gmin <= kProtectiveMax; ++gmin) {
+    for (int gmax = gmin; gmax <= kProtectiveMax; ++gmax) {
+      ranges.emplace_back(gmin, gmax);
+    }
+  }
+  FirstLevelResult first{MatrixI8(ranges.size(), 8),
+                         std::vector<float>(ranges.size(), 1.0f)};
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    const auto [gmin, gmax] = ranges[r];
+    const int range = gmax - gmin;
+    const int probes[8] = {gmin,          gmax,          gmin + range / 2,
+                           gmin + range / 3, gmax - range / 30, gmax - 1,
+                           gmin + 1,      gmax - range / 15};
+    for (std::size_t c = 0; c < 8; ++c) {
+      first.q.At(r, c) =
+          static_cast<std::int8_t>(std::clamp(probes[c], gmin, gmax));
+    }
+  }
+  LqqWeights q;
+  ASSERT_NO_THROW(q = QuantizeSecondLevelLqq(first, {8}));
+  ExpectSection4Bound(q);
+}
+
+TEST(LiquidQuantTest, QuantizerOutputMeetsTheBound) {
+  for (const std::size_t g : {8u, 32u, 64u, 128u}) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      MatrixF w = RandomWeights(9, 256, 40 + seed);
+      w.At(seed, 3 * seed) = 1.0f;  // one outlier: wide groups elsewhere
+      LqqWeights q;
+      ASSERT_NO_THROW(q = QuantizeWeightsLqq(w, {g})) << "group " << g;
+      ExpectSection4Bound(q);
+    }
+  }
+}
+
+/// A 1 x 8 weight whose one register holds `code` in every lane.
+LqqWeights OneRegister(std::uint8_t code, LqqGroupParams params) {
+  AlignedBuffer<std::uint32_t> packed(1);
+  packed[0] = 0x11111111u * code;
+  return LqqWeights::FromParts(1, 8, 8, std::move(packed), {params}, {1.0f});
+}
+
+TEST(LqqWeightsTest, FromPartsEnforcesTheBoundOnCodes) {
+  // 15*16 + 15 = 255 is the largest sum Eq. 12 keeps inside UINT8.
+  EXPECT_NO_THROW(OneRegister(15, {16, 15}));
+  EXPECT_THROW(OneRegister(15, {16, 16}), std::invalid_argument);
+  // Parameters that fail 15*s + a <= 255 are fine while the codes are low.
+  EXPECT_NO_THROW(OneRegister(14, {16, 31}));
+  EXPECT_THROW(OneRegister(14, {16, 32}), std::invalid_argument);
+}
+
+TEST(LqqWeightsTest, FromPartsRejectsMalformedShapes) {
+  const auto build = [](std::size_t n, std::size_t k, std::size_t g,
+                        std::size_t regs, std::size_t groups,
+                        std::size_t scales) {
+    return LqqWeights::FromParts(n, k, g, AlignedBuffer<std::uint32_t>(regs),
+                                 std::vector<LqqGroupParams>(groups),
+                                 std::vector<float>(scales, 1.0f));
+  };
+  EXPECT_NO_THROW(build(2, 64, 32, 16, 4, 2));
+  EXPECT_THROW(build(2, 64, 0, 16, 4, 2), std::invalid_argument);
+  EXPECT_THROW(build(2, 64, 12, 16, 4, 2), std::invalid_argument);
+  EXPECT_THROW(build(2, 48, 32, 12, 3, 2), std::invalid_argument);
+  EXPECT_THROW(build(2, 64, 32, 15, 4, 2), std::invalid_argument);
+  EXPECT_THROW(build(2, 64, 32, 16, 3, 2), std::invalid_argument);
+  EXPECT_THROW(build(2, 64, 32, 16, 4, 1), std::invalid_argument);
+}
+
+TEST(LqqWeightsTest, MovedFromWeightIsEmpty) {
+  LqqWeights w = QuantizeWeightsLqq(RandomWeights(4, 128, 6));
+  const LqqWeights taken = std::move(w);
+  EXPECT_EQ(taken.n(), 4u);
+  EXPECT_EQ(taken.packed().size(), 4u * 128 / 8);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is the test
+  EXPECT_EQ(w.n(), 0u);
+  EXPECT_EQ(w.k(), 0u);
+  EXPECT_TRUE(w.packed().empty());
+  EXPECT_TRUE(w.group_params().empty());
+  EXPECT_TRUE(w.channel_scale().empty());
+}
+
 TEST(LiquidQuantTest, U4AccessorMatchesPackedRegisters) {
   const MatrixF w = RandomWeights(8, 128, 4);
   const LqqWeights q = QuantizeWeightsLqq(w);
-  for (std::size_t n = 0; n < q.n; ++n) {
+  for (std::size_t n = 0; n < q.n(); ++n) {
     for (std::size_t r = 0; r < q.RegistersPerRow(); ++r) {
       const auto lanes = UnpackNibblesInterleaved(q.Register(n, r));
       for (std::size_t j = 0; j < 8; ++j) {
