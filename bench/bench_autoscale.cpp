@@ -93,16 +93,11 @@ std::vector<serving::TimedRequest> BurstIdleTrace(std::size_t burst_count,
   return trace;
 }
 
-/// --threads: worker count for every fleet in this bench (results are
-/// identical to the serial oracle by the parallel runtime's contract).
-std::size_t g_threads = 1;
-
 FleetStats RunFixed(const std::vector<serving::TimedRequest>& trace) {
   DisaggConfig disagg;
   disagg.interconnect.bandwidth_gb_per_s = 400.0;
   disagg.max_migration_seconds = 0.25;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
-  sim.SetThreads(g_threads);
   for (int i = 0; i < 2; ++i) sim.AddReplica(Replica(ReplicaRole::kPrefill));
   for (int i = 0; i < 4; ++i) sim.AddReplica(Replica(ReplicaRole::kDecode));
   return sim.Run(trace);
@@ -145,7 +140,6 @@ FleetStats RunAutoscaled(const std::vector<serving::TimedRequest>& trace,
   disagg.max_migration_seconds = 0.25;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale, {}, {},
                        disagg);
-  sim.SetThreads(g_threads);
   for (int i = 0; i < 2; ++i) sim.AddReplica(Replica(ReplicaRole::kPrefill));
   for (int i = 0; i < 4; ++i) sim.AddReplica(Replica(ReplicaRole::kDecode));
   sim.AttachTelemetry(recorder, metrics);
@@ -166,7 +160,6 @@ void AddRow(Table& table, const std::string& label, const FleetStats& s) {
 int main(int argc, char** argv) {
   const CliFlags flags = ParseCliFlags(argc, argv);
   obs::MaybeEnableProfiler(flags);
-  g_threads = flags.threads;
   const bool quick = flags.quick;
   const std::uint64_t seed = flags.seed_set ? flags.seed : 2026;
   const std::size_t burst = quick ? 100 : 240;

@@ -76,10 +76,6 @@ std::vector<serving::TimedRequest> LongPromptMix(std::size_t count,
   return serving::GenerateTrace(config, seed);
 }
 
-/// --threads: worker count for every fleet in this bench (results are
-/// identical to the serial oracle by the parallel runtime's contract).
-std::size_t g_threads = 1;
-
 FleetStats RunSplit(const std::vector<serving::TimedRequest>& trace,
                     std::size_t prefills, std::size_t decodes,
                     double bandwidth_gb_per_s,
@@ -89,7 +85,6 @@ FleetStats RunSplit(const std::vector<serving::TimedRequest>& trace,
   disagg.interconnect.bandwidth_gb_per_s = bandwidth_gb_per_s;
   disagg.max_migration_seconds = 0.25;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
-  sim.SetThreads(g_threads);
   for (std::size_t i = 0; i < prefills; ++i) {
     sim.AddReplica(Replica(ReplicaRole::kPrefill));
   }
@@ -103,7 +98,6 @@ FleetStats RunSplit(const std::vector<serving::TimedRequest>& trace,
 FleetStats RunUnified(const std::vector<serving::TimedRequest>& trace,
                       std::size_t replicas) {
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding);
-  sim.SetThreads(g_threads);
   for (std::size_t i = 0; i < replicas; ++i) {
     ReplicaSpec spec = Replica(ReplicaRole::kUnified);
     sim.AddReplica(spec);
@@ -125,7 +119,6 @@ void AddRow(Table& table, const std::string& label, const FleetStats& s) {
 int main(int argc, char** argv) {
   const CliFlags flags = ParseCliFlags(argc, argv);
   obs::MaybeEnableProfiler(flags);
-  g_threads = flags.threads;
   const std::size_t count = flags.quick ? 80 : 300;
   const auto trace = LongPromptMix(count, flags.seed_set ? flags.seed : 2025);
   const double nvlink = 400.0;  // GB/s per directed link

@@ -5,17 +5,7 @@
 // path: routing, chunked prefill, handoff planning, KV migration, decode) —
 // and reports the host-side cost: events processed (engine iterations +
 // fleet events), events/sec, sim-seconds per wall-second, and wall-seconds
-// per simulated hour.
-//
-// With the parallel cluster runtime this is also the thread-scaling
-// benchmark: by default the unified fleet sweeps 1/2/4/8 worker threads (the
-// disagg fleet runs at 1 and 4), every sweep point replaying the SAME trace.
-// The parallel runtime's contract is oracle parity — identical simulated
-// results at every thread count — so the deterministic counters double as a
-// cross-thread-count equivalence check here, and the JSON artifact gains a
-// report-only `thread_scaling` section (events/sec and speedup per point)
-// for trend-watching.  `--threads N` skips the sweep and runs both fleets at
-// one thread count.
+// per simulated hour.  Both fleets replay the SAME trace.
 //
 // The JSON artifact is the unit CI's bench-regression tracking consumes:
 // `bench/compare_baselines.py` checks the deterministic counters
@@ -26,18 +16,10 @@
 // request fails the build even on noisy CI hosts.
 //
 // Exit status is nonzero if any fleet breaks request conservation
-// (completed + dropped + rejected + lost != submitted + retried), processes
-// zero events, or disagrees with the single-threaded oracle on any
-// deterministic counter — so the bench doubles as a large-trace soak test
-// for the parallel runtime.
-//
-// `--check-speedup` is the CI perf gate: the unified ×6 scenario must hit
-// >= 2x events/sec at 4 threads over 1 thread.  Exit status carries the
-// verdict; hosts with fewer than 4 hardware threads skip cleanly (exit 0),
-// mirroring how the AVX2 GEMM gate skips where AVX2 is absent.
+// (completed + dropped + rejected + lost != submitted + retried) or
+// processes zero events, so the bench doubles as a large-trace soak test.
 //
 // Usage: bench_sim_throughput [--quick] [--seed N] [--requests N]
-//                             [--threads N] [--check-speedup]
 //                             [--json-out PATH] [--profile-out BASE]
 //   --quick replays 100k requests (CI-sized); the default is 1M.
 //   --requests N overrides both.  --profile-out enables the wall-clock
@@ -47,7 +29,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -95,21 +76,17 @@ std::vector<serving::TimedRequest> ShortPromptMix(std::size_t count,
   return serving::GenerateTrace(config, seed);
 }
 
-FleetStats RunUnified(const std::vector<serving::TimedRequest>& trace,
-                      std::size_t threads) {
+FleetStats RunUnified(const std::vector<serving::TimedRequest>& trace) {
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding);
-  sim.SetThreads(threads);
   for (int i = 0; i < 6; ++i) sim.AddReplica(Replica(ReplicaRole::kUnified));
   return sim.Run(trace);
 }
 
-FleetStats RunDisagg(const std::vector<serving::TimedRequest>& trace,
-                     std::size_t threads) {
+FleetStats RunDisagg(const std::vector<serving::TimedRequest>& trace) {
   DisaggConfig disagg;
   disagg.interconnect.bandwidth_gb_per_s = 400.0;
   disagg.max_migration_seconds = 0.25;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
-  sim.SetThreads(threads);
   for (int i = 0; i < 2; ++i) sim.AddReplica(Replica(ReplicaRole::kPrefill));
   for (int i = 0; i < 4; ++i) sim.AddReplica(Replica(ReplicaRole::kDecode));
   return sim.Run(trace);
@@ -120,46 +97,24 @@ bool Conserved(const FleetStats& s) {
          s.submitted + s.retried_requests;
 }
 
-/// Oracle parity: every deterministic counter the bench reports must match
-/// the single-threaded run of the same fleet on the same trace.
-bool MatchesOracle(const FleetStats& s, const FleetStats& oracle) {
-  return s.submitted == oracle.submitted && s.completed == oracle.completed &&
-         s.dropped == oracle.dropped &&
-         s.rejected_requests == oracle.rejected_requests &&
-         s.lost_requests == oracle.lost_requests &&
-         s.retried_requests == oracle.retried_requests &&
-         s.sim_throughput.events_processed ==
-             oracle.sim_throughput.events_processed &&
-         s.sim_throughput.engine_iterations ==
-             oracle.sim_throughput.engine_iterations &&
-         s.sim_throughput.fleet_events == oracle.sim_throughput.fleet_events &&
-         s.sim_throughput.sim_seconds == oracle.sim_throughput.sim_seconds;
-}
-
-struct SweepPoint {
-  std::string name;   ///< fleet + thread count, e.g. "unified_x6_t4"
-  std::size_t threads = 1;
+struct FleetRun {
+  std::string name;
   FleetStats stats;
 };
 
-void AddRow(Table& table, const SweepPoint& point, double base_events_per_sec) {
-  const SimThroughput& t = point.stats.sim_throughput;
-  const double speedup =
-      base_events_per_sec > 0 ? t.events_per_sec / base_events_per_sec : 0;
-  table.AddRow({point.name, std::to_string(point.threads),
-                WithCommas(t.events_processed),
+void AddRow(Table& table, const FleetRun& run) {
+  const SimThroughput& t = run.stats.sim_throughput;
+  table.AddRow({run.name, WithCommas(t.events_processed),
                 Format("%.1f", t.sim_seconds), Format("%.3f", t.wall_seconds),
                 WithCommas(static_cast<std::uint64_t>(t.events_per_sec)),
-                Format("%.2fx", speedup),
                 Format("%.3f", t.wall_seconds_per_sim_hour)});
 }
 
-void WriteFleetJson(JsonWriter& w, const SweepPoint& point) {
-  const FleetStats& s = point.stats;
+void WriteFleetJson(JsonWriter& w, const FleetRun& run) {
+  const FleetStats& s = run.stats;
   const SimThroughput& t = s.sim_throughput;
   w.BeginObject();
-  w.Key("name").String(point.name);
-  w.Key("threads").Number(static_cast<std::uint64_t>(point.threads));
+  w.Key("name").String(run.name);
   w.Key("submitted").Number(static_cast<std::uint64_t>(s.submitted));
   w.Key("completed").Number(static_cast<std::uint64_t>(s.completed));
   w.Key("events_processed").Number(t.events_processed);
@@ -173,52 +128,17 @@ void WriteFleetJson(JsonWriter& w, const SweepPoint& point) {
   w.EndObject();
 }
 
-/// CI perf gate: unified ×6 must reach >= 2x events/sec at 4 threads over
-/// 1 thread.  Also re-asserts oracle parity on the pair it just ran.  Skips
-/// (exit 0) on hosts with fewer than 4 hardware threads, where the target is
-/// physically unreachable — the gate is for CI runners, not laptops in
-/// power-save mode.
-int CheckSpeedup(const std::vector<serving::TimedRequest>& trace) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw < 4) {
-    std::printf(
-        "parallel speedup gate: SKIPPED (host has %u hardware threads, "
-        "need >= 4)\n",
-        hw);
-    return 0;
-  }
-  std::printf("running unified x6 at 1 thread (oracle)...\n");
-  const FleetStats serial = RunUnified(trace, 1);
-  std::printf("running unified x6 at 4 threads...\n");
-  const FleetStats parallel = RunUnified(trace, 4);
-  const double base = serial.sim_throughput.events_per_sec;
-  const double speedup =
-      base > 0 ? parallel.sim_throughput.events_per_sec / base : 0;
-  const bool parity = MatchesOracle(parallel, serial);
-  std::printf(
-      "parallel speedup gate: %.0f ev/s (1t) -> %.0f ev/s (4t) = %.2fx "
-      "(need >= 2.00x), oracle parity %s\n",
-      base, parallel.sim_throughput.events_per_sec, speedup,
-      parity ? "OK" : "BROKEN");
-  const bool ok = speedup >= 2.0 && parity;
-  std::printf("parallel speedup gate: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliFlags flags = ParseCliFlags(argc, argv);
   std::size_t count = flags.quick ? 100'000 : 1'000'000;
-  bool check_speedup = false;
   for (std::size_t i = 0; i < flags.positional.size(); ++i) {
     const std::string& arg = flags.positional[i];
     if (arg == "--requests" && i + 1 < flags.positional.size()) {
       count = std::strtoull(flags.positional[++i].c_str(), nullptr, 10);
     } else if (arg.rfind("--requests=", 0) == 0) {
       count = std::strtoull(arg.c_str() + 11, nullptr, 10);
-    } else if (arg == "--check-speedup") {
-      check_speedup = true;
     }
   }
   const std::uint64_t seed = flags.seed_set ? flags.seed : 1;
@@ -229,45 +149,16 @@ int main(int argc, char** argv) {
 
   obs::MaybeEnableProfiler(flags);
 
-  if (check_speedup) return CheckSpeedup(trace);
-
-  // --threads N: both fleets once at that count.  Default: thread sweep —
-  // unified at 1/2/4/8, disagg at 1/4 — all over the same trace.
-  std::vector<std::pair<const char*, std::size_t>> unified_points;
-  std::vector<std::pair<const char*, std::size_t>> disagg_points;
-  if (flags.threads_set) {
-    unified_points = {{"unified_x6", flags.threads}};
-    disagg_points = {{"disagg_2p4d", flags.threads}};
-  } else {
-    unified_points = {{"unified_x6_t1", 1},
-                      {"unified_x6_t2", 2},
-                      {"unified_x6_t4", 4},
-                      {"unified_x6_t8", 8}};
-    disagg_points = {{"disagg_2p4d_t1", 1}, {"disagg_2p4d_t4", 4}};
-  }
-
-  std::vector<SweepPoint> points;
-  for (const auto& [name, threads] : unified_points) {
-    std::printf("running %s (%zu thread%s)...\n", name, threads,
-                threads == 1 ? "" : "s");
-    points.push_back({name, threads, RunUnified(trace, threads)});
-  }
-  const std::size_t disagg_begin = points.size();
-  for (const auto& [name, threads] : disagg_points) {
-    std::printf("running %s (%zu thread%s)...\n", name, threads,
-                threads == 1 ? "" : "s");
-    points.push_back({name, threads, RunDisagg(trace, threads)});
-  }
+  std::vector<FleetRun> runs;
+  std::printf("running unified_x6...\n");
+  runs.push_back({"unified_x6", RunUnified(trace)});
+  std::printf("running disagg_2p4d...\n");
+  runs.push_back({"disagg_2p4d", RunDisagg(trace)});
 
   Table table(Format("Simulator throughput, %zu requests", count));
-  table.SetHeader({"fleet", "threads", "events", "sim s", "wall s", "events/s",
-                   "speedup", "wall s / sim h"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    // Speedup is relative to the same fleet's first (single-threaded) point.
-    const std::size_t base = i < disagg_begin ? 0 : disagg_begin;
-    AddRow(table, points[i],
-           points[base].stats.sim_throughput.events_per_sec);
-  }
+  table.SetHeader({"fleet", "events", "sim s", "wall s", "events/s",
+                   "wall s / sim h"});
+  for (const FleetRun& run : runs) AddRow(table, run);
   table.Print();
 
   if (!obs::WriteProfile(flags)) return 1;
@@ -280,24 +171,7 @@ int main(int argc, char** argv) {
     w.Key("requests").Number(static_cast<std::uint64_t>(count));
     w.Key("seed").Number(seed);
     w.Key("fleets").BeginArray();
-    for (const SweepPoint& point : points) WriteFleetJson(w, point);
-    w.EndArray();
-    // Report-only thread-scaling trend (wall-clock; never gated): events/sec
-    // and speedup-vs-1-thread per sweep point.
-    w.Key("thread_scaling").BeginArray();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const std::size_t base = i < disagg_begin ? 0 : disagg_begin;
-      const double base_rate =
-          points[base].stats.sim_throughput.events_per_sec;
-      const SimThroughput& t = points[i].stats.sim_throughput;
-      w.BeginObject();
-      w.Key("name").String(points[i].name);
-      w.Key("threads").Number(static_cast<std::uint64_t>(points[i].threads));
-      w.Key("events_per_sec").Number(t.events_per_sec);
-      w.Key("speedup_vs_1_thread")
-          .Number(base_rate > 0 ? t.events_per_sec / base_rate : 0);
-      w.EndObject();
-    }
+    for (const FleetRun& run : runs) WriteFleetJson(w, run);
     w.EndArray();
     // Host-dependent, report-only: memory of the whole process (trace plus
     // every fleet run) and what the wall-clock numbers were measured on.
@@ -310,22 +184,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Soak gate: conservation and nonzero work everywhere, plus oracle parity
-  // for every multi-threaded point against its fleet's single-threaded run.
+  // Soak gate: conservation and nonzero work everywhere.
   bool ok = true;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const FleetStats& s = points[i].stats;
+  for (const FleetRun& run : runs) {
+    const FleetStats& s = run.stats;
     if (!Conserved(s) || s.completed == 0 ||
         s.sim_throughput.events_processed == 0) {
       std::printf("FAIL: %s broke conservation or did no work\n",
-                  points[i].name.c_str());
-      ok = false;
-    }
-    const std::size_t base = i < disagg_begin ? 0 : disagg_begin;
-    if (i != base && points[base].threads == 1 &&
-        !MatchesOracle(s, points[base].stats)) {
-      std::printf("FAIL: %s diverged from the single-threaded oracle\n",
-                  points[i].name.c_str());
+                  run.name.c_str());
       ok = false;
     }
   }

@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
   const bool telemetry = flags.WantsTrace() || flags.WantsMetrics();
 
   ClusterSimulator sim(policy);
-  sim.SetThreads(flags.threads);
   for (std::size_t i = 0; i < replicas; ++i) sim.AddReplica(spec);
   sim.AttachTelemetry(telemetry ? &recorder : nullptr,
                       telemetry ? &metrics : nullptr);

@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
   // ---- Unified baseline: same replica count, everyone does everything.
   std::printf("=== unified x%zu ===\n", prefills + decodes);
   ClusterSimulator unified(RoutePolicy::kLeastOutstanding);
-  unified.SetThreads(flags.threads);
   for (std::size_t i = 0; i < prefills + decodes; ++i) {
     unified.AddReplica(DisaggSpec(ReplicaRole::kUnified));
   }
@@ -101,7 +100,6 @@ int main(int argc, char** argv) {
   disagg.interconnect.bandwidth_gb_per_s = 400.0;
   disagg.max_migration_seconds = 0.25;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
-  sim.SetThreads(flags.threads);
   for (std::size_t i = 0; i < prefills; ++i) {
     sim.AddReplica(DisaggSpec(ReplicaRole::kPrefill));
   }

@@ -150,7 +150,6 @@ void PrintFleetStats(const FleetStats& stats) {
                            .c_str(),
                        WithCommas(static_cast<long long>(st.fleet_events))
                            .c_str())});
-    sim.AddRow({"threads", std::to_string(st.threads)});
     sim.AddRow({"wall time", Format("%.3f s", st.wall_seconds)});
     sim.AddRow({"events / sec",
                 WithCommas(static_cast<long long>(st.events_per_sec))});
@@ -286,7 +285,6 @@ void WriteFleetStatsMembers(JsonWriter& w, const FleetStats& stats) {
   w.Key("events_processed").Number(st.events_processed);
   w.Key("engine_iterations").Number(st.engine_iterations);
   w.Key("fleet_events").Number(st.fleet_events);
-  w.Key("threads").Number(st.threads);
   w.Key("sim_seconds").Number(st.sim_seconds);
   w.Key("wall_seconds").Number(st.wall_seconds);
   w.Key("events_per_sec").Number(st.events_per_sec);

@@ -91,10 +91,10 @@ struct DisaggStats {
   PercentileTriple migrated_tpot;
 };
 
-/// Wall-clock cost of running the simulation itself — the meter the future
-/// concurrent runtime must beat.  The first four fields are deterministic
-/// under a fixed seed (they count simulated work); the wall_* / *_per_*
-/// fields are host wall-clock measurements and vary run to run.
+/// Wall-clock cost of running the simulation itself.  The event counts and
+/// sim_seconds are deterministic under a fixed seed (they measure simulated
+/// work); the wall_* / *_per_* fields are host wall-clock measurements and
+/// vary run to run.
 struct SimThroughput {
   /// engine_iterations + fleet_events: the simulator's unit of work.
   std::uint64_t events_processed = 0;
@@ -103,10 +103,6 @@ struct SimThroughput {
   /// Fleet-level events: routing decisions (arrivals + retries), migration
   /// landings, kills, degrades, autoscale ticks.
   std::uint64_t fleet_events = 0;
-  /// Worker threads the run executed with (1 = the legacy serial loop).
-  /// Deterministic by construction, and the simulated results are identical
-  /// across thread counts — the parallel mode's oracle-parity contract.
-  std::size_t threads = 1;
   double sim_seconds = 0;   ///< simulated span covered by the run
   double wall_seconds = 0;  ///< host wall-clock spent inside Run()
   double events_per_sec = 0;

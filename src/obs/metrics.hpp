@@ -14,11 +14,8 @@
 //
 // Thread-safety contract: a MetricsRegistry is EXTERNALLY SYNCHRONIZED — no
 // internal locking; all Register/Set/Add/Sample/export calls must come from
-// one thread at a time.  The cluster runtime satisfies this structurally:
-// every metrics touch happens in the coordinator's serialized sections
-// (worker tasks never see the registry), and the owning ClusterSimulator
-// pointer is LIQUID_PT_GUARDED_BY the coordinator role so the clang
-// -Wthread-safety CI build enforces it at compile time.
+// one thread at a time.  The cluster simulator touches it only from its one
+// event-loop thread.
 
 #include <cstddef>
 #include <cstdint>

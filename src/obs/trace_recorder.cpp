@@ -1,9 +1,7 @@
 #include "obs/trace_recorder.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 
 #include "util/json.hpp"
 
@@ -202,37 +200,6 @@ void TraceRecorder::Flow(TracePhase phase, double t, std::int32_t pid,
   e.t = t;
   e.id = id;
   events_.push_back(e);
-}
-
-void TraceRecorder::MergeShards(std::span<TraceRecorder* const> shards) {
-  std::size_t extra_events = 0, extra_ext = 0, extra_decls = 0;
-  for (const TraceRecorder* shard : shards) {
-    extra_events += shard->events_.size();
-    extra_ext += shard->ext_pool_.size();
-    extra_decls += shard->decls_.size();
-  }
-  events_.reserve(events_.size() + extra_events);
-  ext_pool_.reserve(ext_pool_.size() + extra_ext);
-  decls_.reserve(decls_.size() + extra_decls);
-
-  for (TraceRecorder* shard : shards) {
-    const auto ext_base = static_cast<std::uint32_t>(ext_pool_.size());
-    ext_pool_.insert(ext_pool_.end(), shard->ext_pool_.begin(),
-                     shard->ext_pool_.end());
-    for (TraceEvent e : shard->events_) {
-      if (e.ext_len > 0) e.ext_off += ext_base;
-      events_.push_back(e);
-    }
-    decls_.insert(decls_.end(),
-                  std::make_move_iterator(shard->decls_.begin()),
-                  std::make_move_iterator(shard->decls_.end()));
-    shard->Clear();
-  }
-
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.t < b.t;
-                   });
 }
 
 void TraceRecorder::Clear() {

@@ -28,15 +28,9 @@
 //
 // Thread-safety contract: a TraceRecorder is EXTERNALLY SYNCHRONIZED — it
 // holds no lock, and every method assumes single-threaded access.  The
-// parallel cluster runtime honors this by sharding: each replica records
-// into a private per-replica TraceRecorder during the fan-out (one writer
-// per shard, no sharing), and the coordinator folds the shards back with
-// MergeShards() strictly between barriers.  The ClusterSimulator declares
-// both the shard vector and the shared-recorder pointer
-// LIQUID_GUARDED_BY/LIQUID_PT_GUARDED_BY its coordinator role, so the clang
-// -Wthread-safety CI build rejects any new cross-thread touch; keep it that
-// way rather than adding locks here (a mutex per recorded POD would dwarf
-// the <5% telemetry budget).
+// cluster simulator records from its one event-loop thread; keep it that way
+// rather than adding locks here (a mutex per recorded POD would dwarf the
+// <5% telemetry budget).
 
 #include <cstddef>
 #include <cstdint>
@@ -158,20 +152,6 @@ class TraceRecorder {
   /// containing `t` on (pid, tid)).
   void Flow(TracePhase phase, double t, std::int32_t pid, std::int32_t tid,
             std::uint64_t id);
-
-  /// Absorbs the events of `shards` into this recorder and re-establishes
-  /// global time order.  The parallel cluster runtime records each replica's
-  /// engine events into a private per-replica shard (so worker threads never
-  /// touch a shared vector); at end of run the shards are folded back here.
-  ///
-  /// Determinism contract: the result depends only on event content and the
-  /// ORDER OF THE SHARD LIST, never on thread scheduling — the merge is a
-  /// concatenation (this recorder's events, then each shard in list order)
-  /// followed by a stable sort on the simulated timestamp, so equal-time
-  /// events tie-break by (source index, original record order).  Ext-pool
-  /// offsets are rebased; shard name declarations are appended; the shards
-  /// are left cleared.
-  void MergeShards(std::span<TraceRecorder* const> shards);
 
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }

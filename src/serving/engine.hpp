@@ -145,11 +145,6 @@ class ServingEngine {
   /// expert GEMMs see m * top_k / experts rows, whose class is not a
   /// function of m's class, so it keys by the raw m.
   ///
-  /// Thread safety: every const member may be called from any number of
-  /// threads at once.  The tables are lock-free and append-only, which is
-  /// what lets identically configured fleet replicas share one engine while
-  /// the parallel runtime steps them on different threads.
-  ///
   /// Memory: each table is an 8 KB page directory plus one 8 KB page per
   /// 1024-key range actually priced, so an engine holds 16 KB of
   /// directories plus 8 KB per touched range: one page per table for decode
@@ -160,8 +155,7 @@ class ServingEngine {
   ///
   /// Determinism audit: a slot only ever holds -1 or the exact double a
   /// direct computation returns for every count its key stands for, and it
-  /// is only read by index, so a cached cost never depends on query order or
-  /// on which thread filled it.
+  /// is only read by index, so a cached cost never depends on query order.
   mutable CostTable layer_gemm_seconds_;
   mutable CostTable lm_head_seconds_;
 };

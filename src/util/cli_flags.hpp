@@ -12,10 +12,6 @@
 //   --json-out PATH        write the FleetStats summary as JSON
 //   --profile-out BASE     enable the wall-clock profiler and write
 //                          BASE.txt/.csv/.folded/.speedscope.json/.gemm_ai.csv
-//   --threads N            worker threads for the cluster simulator's
-//                          parallel runtime (0 = hardware concurrency; the
-//                          default 1 keeps the byte-deterministic legacy
-//                          single-threaded loop)
 //
 // Both `--flag value` and `--flag=value` are accepted.  Unknown arguments
 // are collected into `positional` for the binary's own parsing.
@@ -38,10 +34,6 @@ struct CliFlags {
   std::string metrics_csv;
   std::string json_out;
   std::string profile_out;  ///< base path; empty = profiler stays disabled
-  /// ClusterSimulator::SetThreads value (0 = hardware concurrency).  The
-  /// default 1 preserves legacy single-threaded output byte-for-byte.
-  std::size_t threads = 1;
-  bool threads_set = false;  ///< --threads was given explicitly
   std::vector<std::string> positional;
 
   /// Any telemetry sink requested (the binary should attach a recorder).
@@ -83,10 +75,6 @@ inline CliFlags ParseCliFlags(int argc, char** argv) {
       flags.json_out = json_v;
     } else if (const char* prof_v = value("--profile-out")) {
       flags.profile_out = prof_v;
-    } else if (const char* threads_v = value("--threads")) {
-      flags.threads =
-          static_cast<std::size_t>(std::strtoull(threads_v, nullptr, 10));
-      flags.threads_set = true;
     } else {
       flags.positional.push_back(arg);
     }

@@ -1,37 +1,18 @@
 #pragma once
-// Compile-time concurrency contracts: clang thread-safety-analysis macros and
-// the annotated synchronization primitives the rest of the tree builds on.
+// Compile-time lock discipline: clang thread-safety-analysis macros and the
+// annotated mutex the rest of the tree builds on.
 //
 // Clang's `-Wthread-safety` analysis proves lock discipline at compile time:
 // a member declared `LIQUID_GUARDED_BY(mu)` cannot be touched on any path
-// that does not hold `mu`, a function declared `LIQUID_REQUIRES(mu)` cannot
-// be called without it, and the static-analysis CI job turns violations into
-// build failures (`-Wthread-safety -Werror`).  Off clang every macro expands
-// to nothing, so gcc builds are byte-identical to before.
+// that does not hold `mu`, and the static-analysis CI job turns violations
+// into build failures (`-Wthread-safety -Werror`).  Off clang every macro
+// expands to nothing, so gcc builds are byte-identical to before.
 //
-// Two kinds of capability live here:
-//
-//   * `Mutex` / `MutexLock` / `CondVar` — annotated wrappers over the
-//     standard primitives for state that is genuinely lock-guarded (the
-//     work-stealing ThreadPool queues, the WallProfiler tree registry).
-//     Use these instead of raw std::mutex anywhere data crosses threads:
-//     a raw mutex is invisible to the analysis.
-//
-//   * `ThreadRole` / `RoleGuard` — a zero-cost capability for state whose
-//     synchronization is STRUCTURAL rather than lock-based.  The parallel
-//     cluster runtime serializes routing/migration/autoscale/chaos on the
-//     coordinating thread and only fans out per-replica work whose state is
-//     disjoint; nothing there needs a lock, but the "only the coordinator
-//     touches this" contract used to live in comments.  Declaring the state
-//     `LIQUID_GUARDED_BY(coordinator_role_)` and the serialized sections
-//     `LIQUID_REQUIRES(coordinator_role_)` moves that contract into the
-//     compiler: a future PR that reaches into fleet state from a worker
-//     task (or from a public entry point that forgot to take the role)
-//     fails the clang build instead of flaking a determinism golden.
-//     Acquire/Release are empty inline functions — the capability exists
-//     only in the analysis; release builds see no code at all.
+// `Mutex` / `MutexLock` are annotated wrappers over the standard primitives
+// for state that is genuinely lock-guarded (the WallProfiler tree
+// registry).  Use these instead of raw std::mutex anywhere data crosses
+// threads: a raw mutex is invisible to the analysis.
 
-#include <condition_variable>
 #include <mutex>
 
 // Attribute plumbing.  The thread-safety attributes are a clang extension;
@@ -43,7 +24,7 @@
 #endif
 
 /// Declares a class to be a capability (lockable) type.  The string names the
-/// capability kind in diagnostics ("mutex", "role", ...).
+/// capability kind in diagnostics ("mutex", ...).
 #define LIQUID_CAPABILITY(x) LIQUID_THREAD_ANNOTATION(capability(x))
 
 /// Declares an RAII class that acquires a capability in its constructor and
@@ -52,15 +33,6 @@
 
 /// Data member: may only be read or written while holding `x`.
 #define LIQUID_GUARDED_BY(x) LIQUID_THREAD_ANNOTATION(guarded_by(x))
-
-/// Pointer member: the POINTED-TO data may only be touched while holding `x`
-/// (the pointer itself is covered by LIQUID_GUARDED_BY).
-#define LIQUID_PT_GUARDED_BY(x) LIQUID_THREAD_ANNOTATION(pt_guarded_by(x))
-
-/// Function: caller must hold the capabilities on entry (and still does on
-/// exit).  This is the workhorse contract for serialized sections.
-#define LIQUID_REQUIRES(...) \
-  LIQUID_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 
 /// Function: acquires the capabilities; caller must NOT already hold them.
 #define LIQUID_ACQUIRE(...) \
@@ -77,16 +49,6 @@
 /// Function: caller must NOT hold the capabilities (deadlock guard for
 /// functions that acquire them internally).
 #define LIQUID_EXCLUDES(...) LIQUID_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Function returns a reference to the capability guarding its result.
-#define LIQUID_RETURN_CAPABILITY(x) LIQUID_THREAD_ANNOTATION(lock_returned(x))
-
-/// Escape hatch: the function body is not analyzed.  Reserve for primitives
-/// whose correctness the analysis cannot express; never blanket-apply it to
-/// silence a real finding (the CI contract forbids it on the concurrent
-/// subsystems).
-#define LIQUID_NO_THREAD_SAFETY_ANALYSIS \
-  LIQUID_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace liquid::util {
 
@@ -105,7 +67,6 @@ class LIQUID_CAPABILITY("mutex") Mutex {
   }
 
  private:
-  friend class CondVar;  // Wait() needs the underlying handle
   std::mutex mu_;
 };
 
@@ -119,68 +80,6 @@ class LIQUID_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable bound to the annotated Mutex.  Wait() adopts the
-/// already-held lock for the duration of the underlying wait and re-adopts it
-/// before returning, so the analysis (correctly) sees the mutex held across
-/// the call.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// One wait round; may wake spuriously (use the predicate overload).
-  void Wait(Mutex& mu) LIQUID_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();  // the caller's MutexLock still owns the mutex
-  }
-
-  /// Waits until `pred()` is true (checked with `mu` held).
-  template <typename Predicate>
-  void Wait(Mutex& mu, Predicate pred) LIQUID_REQUIRES(mu) {
-    while (!pred()) Wait(mu);
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
-};
-
-/// A structural capability: "this state belongs to one logical role" (the
-/// cluster event-pump coordinator, a shard's owning worker).  There is no
-/// runtime lock — Acquire/Release compile to nothing — but the analysis
-/// treats it exactly like a mutex, so `LIQUID_GUARDED_BY(role)` state is
-/// untouchable outside `LIQUID_REQUIRES(role)` sections and the RoleGuard
-/// entry points that assert the role.
-class LIQUID_CAPABILITY("role") ThreadRole {
- public:
-  ThreadRole() = default;
-  ThreadRole(const ThreadRole&) = delete;
-  ThreadRole& operator=(const ThreadRole&) = delete;
-
-  void Acquire() LIQUID_ACQUIRE() {}
-  void Release() LIQUID_RELEASE() {}
-};
-
-/// RAII assertion of a ThreadRole for one public entry point.  Zero cost at
-/// runtime; in the analysis it brackets the section that is allowed to touch
-/// the role's state.
-class LIQUID_SCOPED_CAPABILITY RoleGuard {
- public:
-  explicit RoleGuard(ThreadRole& role) LIQUID_ACQUIRE(role) : role_(role) {
-    role_.Acquire();
-  }
-  ~RoleGuard() LIQUID_RELEASE() { role_.Release(); }
-  RoleGuard(const RoleGuard&) = delete;
-  RoleGuard& operator=(const RoleGuard&) = delete;
-
- private:
-  ThreadRole& role_;
 };
 
 }  // namespace liquid::util

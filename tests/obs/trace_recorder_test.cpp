@@ -1,10 +1,14 @@
 // TraceRecorder export formats: the Chrome Trace Event envelope Perfetto
 // loads (metadata + spans + instants + async journey lanes + flow arrows)
 // and the JSONL decision log, both syntax-checked with the same strict
-// parser CI's python pass uses, plus byte determinism for a fixed sequence.
+// parser CI's python pass uses, plus byte determinism for a fixed sequence
+// and the file writers the binaries' --trace-out / --trace-jsonl flags use.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -36,6 +40,24 @@ TraceRecorder RecordStory() {
   rec.Instant(TraceEventType::kComplete, 1.0, ReplicaPid(0), kTidLifecycle, 7,
               64, 0.1875);
   return rec;
+}
+
+/// Occurrences of `needle` in `text`.
+std::size_t Count(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// The whole content of the file at `path`.
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  std::stringstream buf;
+  buf << file.rdbuf();
+  return buf.str();
 }
 
 TEST(TraceRecorderTest, ChromeTraceIsValidJsonWithEnvelope) {
@@ -101,6 +123,40 @@ TEST(TraceRecorderTest, ClearDropsEverything) {
   rec.Clear();
   EXPECT_TRUE(rec.empty());
   EXPECT_EQ(rec.size(), 0u);
+}
+
+TEST(TraceRecorderTest, OneRecordPerEventPlusLaneMetadata) {
+  const TraceRecorder rec = RecordStory();
+  const std::string json = rec.ToChromeTraceJson();
+  // Each declared process adds a name and a sort-index record, each
+  // declared thread a name record: 2 processes + 2 threads = 6.
+  EXPECT_EQ(Count(json, "\"ph\":\"M\""), 6u);
+  EXPECT_EQ(Count(json, "\"ph\":"), 6u + rec.size());
+  EXPECT_NE(json.find("\"name\":\"replica 0\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"engine\""), std::string::npos);
+}
+
+TEST(TraceRecorderTest, WriteChromeTraceWritesTheExportedBytes) {
+  const TraceRecorder rec = RecordStory();
+  const std::string path = testing::TempDir() + "trace_recorder_test.json";
+  ASSERT_TRUE(rec.WriteChromeTrace(path));
+  EXPECT_EQ(ReadFile(path), rec.ToChromeTraceJson());
+  std::remove(path.c_str());
+}
+
+TEST(TraceRecorderTest, WriteJsonlWritesTheExportedBytes) {
+  const TraceRecorder rec = RecordStory();
+  const std::string path = testing::TempDir() + "trace_recorder_test.jsonl";
+  ASSERT_TRUE(rec.WriteJsonl(path));
+  EXPECT_EQ(ReadFile(path), rec.ToJsonl());
+  std::remove(path.c_str());
+}
+
+TEST(TraceRecorderTest, WriteIntoMissingDirectoryReturnsFalse) {
+  const TraceRecorder rec = RecordStory();
+  const std::string dir = testing::TempDir() + "no-such-dir/";
+  EXPECT_FALSE(rec.WriteChromeTrace(dir + "x.json"));
+  EXPECT_FALSE(rec.WriteJsonl(dir + "x.jsonl"));
 }
 
 }  // namespace

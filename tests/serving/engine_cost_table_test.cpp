@@ -1,7 +1,7 @@
 // ServingEngine caches the simgpu GEMM walk in tables keyed by row class.  A
 // cached cost must be the exact double a cold engine computes, and the exact
 // double a direct, uncached walk gives for that very count, whatever order
-// the table was filled in and however many threads filled it at once.
+// the table was filled in.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <functional>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "serving/attention_model.hpp"
@@ -48,6 +47,14 @@ std::vector<Query> Grid() {
       return e.PrefillSeconds(4, a);
     });
   }
+  // Past the page directory: priced directly on every call.
+  constexpr std::size_t kBeyond = CostTable::kCapacity + 3;
+  grid.push_back([](const ServingEngine& e) {
+    return e.DecodeStepSeconds(kBeyond, 16);
+  });
+  grid.push_back([](const ServingEngine& e) {
+    return e.PrefillSeconds(1, kBeyond);
+  });
   return grid;
 }
 
@@ -185,47 +192,6 @@ TEST(EngineCostTableTest, GemvPathTablesMatchUncachedWalk) {
 TEST(EngineCostTableTest, MoeTablesMatchUncachedWalk) {
   ExpectTablesMatchUncachedWalk(SystemPreset::LiquidServe(),
                                 LlmConfig::Mixtral_8x7B());
-}
-
-TEST(EngineCostTableTest, ConcurrentQueriesMatchSerialFreshEngines) {
-  std::vector<Query> grid = Grid();
-  // Past the page directory: priced directly on every call.
-  constexpr std::size_t kBeyond = CostTable::kCapacity + 3;
-  grid.push_back([](const ServingEngine& e) {
-    return e.DecodeStepSeconds(kBeyond, 16);
-  });
-  grid.push_back([](const ServingEngine& e) {
-    return e.PrefillSeconds(1, kBeyond);
-  });
-  std::vector<double> expected(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    expected[i] = grid[i](MakeEngine());
-  }
-
-  constexpr std::size_t kThreads = 4;
-  const ServingEngine shared = MakeEngine();
-  std::vector<std::vector<double>> got(kThreads,
-                                       std::vector<double>(grid.size()));
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&grid, &shared, &got, t] {
-      std::vector<std::size_t> order(grid.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::shuffle(order.begin(), order.end(),
-                   std::mt19937(static_cast<unsigned>(t + 1)));
-      // Two passes: the first races the other threads to fill the tables,
-      // the second reads them back.
-      for (int pass = 0; pass < 2; ++pass) {
-        for (const std::size_t i : order) got[t][i] = grid[i](shared);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      EXPECT_EQ(got[t][i], expected[i]) << "thread " << t << " query " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 """Determinism linter for the liquid_serve source tree.
 
 The simulator's headline contract is bit-exact determinism under a fixed
-seed — goldens, the parallel-vs-serial equivalence suite, and the bench
-baselines all assume it.  This linter statically rejects the constructs that
-break that contract before they reach a flaky golden:
+seed — the telemetry and chaos goldens and the bench baselines all assume
+it.  This linter statically rejects the constructs that break that contract
+before they reach a flaky golden:
 
   wall-clock          Wall-clock reads (std::chrono::steady_clock /
                       system_clock / high_resolution_clock, clock_gettime,
