@@ -1,6 +1,7 @@
 #include "serving/kv_cache.hpp"
 
 #include <cassert>
+#include <iterator>
 #include <numeric>
 #include <utility>
 
@@ -8,58 +9,66 @@ namespace liquid::serving {
 
 namespace {
 
-/// First capacity (slots) a PrefixIndex allocates: 192 B.
-constexpr std::size_t kInitialIndexSlots = 16;
+/// First capacity (slots) a FlatKeyTable allocates: 192 B.
+constexpr std::size_t kInitialTableSlots = 16;
 
 }  // namespace
 
-void PrefixIndex::Add(std::uint64_t hash) {
-  if (const std::size_t i = Find(hash); i != kAbsent) {
-    ++slots_[i].count;
-    return;
-  }
-  // A new hash: keep the table at most 7/8 full after the insert.
+void FlatKeyTable::Insert(std::uint64_t key, std::uint32_t value) {
+  // Keep the table at most 7/8 full after the insert.
   if (8 * (size_ + 1) > 7 * slots_.size()) Grow();
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = HomeSlot(hash, slots_.size());
-  while (slots_[i].count != 0) i = (i + 1) & mask;
-  slots_[i] = {hash, 1};
+  std::size_t i = HomeSlot(key, slots_.size());
+  while (slots_[i].value != 0) i = (i + 1) & mask;
+  slots_[i] = {key, value};
   ++size_;
-  ++epoch_;
 }
 
-void PrefixIndex::Remove(std::uint64_t hash) {
-  std::size_t hole = Find(hash);
-  if (hole == kAbsent || --slots_[hole].count > 0) return;
+void FlatKeyTable::EraseAt(std::size_t hole) {
   // Backward-shift deletion: walk the probe run after the hole and pull back
   // every entry whose probe path from its home crosses the hole (its home is
   // not cyclically in (hole, j]), so every remaining entry stays reachable
   // from its home without tombstones.
   const std::size_t mask = slots_.size() - 1;
-  for (std::size_t j = (hole + 1) & mask; slots_[j].count != 0;
+  for (std::size_t j = (hole + 1) & mask; slots_[j].value != 0;
        j = (j + 1) & mask) {
-    const std::size_t home = HomeSlot(slots_[j].hash, slots_.size());
+    const std::size_t home = HomeSlot(slots_[j].key, slots_.size());
     if (((j - home) & mask) >= ((j - hole) & mask)) {
       slots_[hole] = slots_[j];
       hole = j;
     }
   }
-  slots_[hole].count = 0;
+  slots_[hole].value = 0;
   --size_;
-  ++epoch_;
 }
 
-void PrefixIndex::Grow() {
+void FlatKeyTable::Grow() {
   const std::vector<Slot> old = std::exchange(
-      slots_, std::vector<Slot>(slots_.empty() ? kInitialIndexSlots
+      slots_, std::vector<Slot>(slots_.empty() ? kInitialTableSlots
                                                : 2 * slots_.size()));
   const std::size_t mask = slots_.size() - 1;
   for (const Slot& s : old) {
-    if (s.count == 0) continue;
-    std::size_t i = HomeSlot(s.hash, slots_.size());
-    while (slots_[i].count != 0) i = (i + 1) & mask;
+    if (s.value == 0) continue;
+    std::size_t i = HomeSlot(s.key, slots_.size());
+    while (slots_[i].value != 0) i = (i + 1) & mask;
     slots_[i] = s;
   }
+}
+
+void PrefixIndex::Add(std::uint64_t hash) {
+  if (const std::size_t i = table_.Find(hash); i != FlatKeyTable::kAbsent) {
+    ++table_.value(i);
+    return;
+  }
+  table_.Insert(hash, 1);
+  ++epoch_;
+}
+
+void PrefixIndex::Remove(std::uint64_t hash) {
+  const std::size_t i = table_.Find(hash);
+  if (i == FlatKeyTable::kAbsent || --table_.value(i) > 0) return;
+  table_.EraseAt(i);
+  ++epoch_;
 }
 
 KvBlockManager::KvBlockManager(std::size_t total_blocks,
@@ -71,101 +80,124 @@ KvBlockManager::KvBlockManager(std::size_t total_blocks,
   std::iota(free_list_.rbegin(), free_list_.rend(), std::size_t{0});
 }
 
-std::optional<std::size_t> KvBlockManager::AllocBlock() {
-  if (free_list_.empty()) return std::nullopt;
-  const std::size_t block = free_list_.back();
-  free_list_.pop_back();
-  ref_counts_[block] = 1;
-  return block;
+const KvBlockManager::Sequence* KvBlockManager::Find(SeqId id) const {
+  const std::size_t i = ids_.Find(id);
+  return i == FlatKeyTable::kAbsent ? nullptr : &slab_[ids_.value(i) - 1];
 }
 
-void KvBlockManager::ReleaseBlock(std::size_t block) {
-  assert(ref_counts_[block] > 0);
-  if (--ref_counts_[block] == 0) free_list_.push_back(block);
+KvBlockManager::Sequence* KvBlockManager::Find(SeqId id) {
+  return const_cast<Sequence*>(std::as_const(*this).Find(id));
+}
+
+KvBlockManager::Sequence& KvBlockManager::Insert(SeqId id) {
+  std::size_t slot = slab_.size();
+  if (free_slots_.empty()) {
+    slab_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  ids_.Insert(id, static_cast<std::uint32_t>(slot + 1));
+  return slab_[slot];
 }
 
 bool KvBlockManager::AddSequence(SeqId id, std::size_t prompt_tokens) {
-  if (sequences_.contains(id)) return false;
   const std::size_t need = BlocksNeeded(prompt_tokens);
-  if (!CanAllocate(need)) return false;
-  Sequence seq;
+  if (!CanAllocate(need) || HasSequence(id)) return false;
+  Sequence& seq = Insert(id);
   seq.tokens = prompt_tokens;
-  seq.blocks.reserve(need);
-  for (std::size_t i = 0; i < need; ++i) {
-    seq.blocks.push_back(*AllocBlock());  // guaranteed by CanAllocate
-  }
-  sequences_.emplace(id, std::move(seq));
+  // Take the top `need` free blocks, top first: the order `need` single
+  // pops would give.
+  const auto top = free_list_.end();
+  seq.blocks.assign(std::make_reverse_iterator(top),
+                    std::make_reverse_iterator(top - need));
+  free_list_.erase(top - need, top);
   return true;
 }
 
 bool KvBlockManager::AppendToken(SeqId id) {
-  auto it = sequences_.find(id);
-  if (it == sequences_.end()) return false;
-  Sequence& seq = it->second;
-
-  const bool needs_block = seq.tokens % block_tokens_ == 0 || seq.blocks.empty();
+  Sequence* seq = Find(id);
+  if (seq == nullptr) return false;
+  const bool needs_block =
+      seq->tokens % block_tokens_ == 0 || seq->blocks.empty();
   if (needs_block) {
-    const auto block = AllocBlock();
-    if (!block) return false;
-    seq.blocks.push_back(*block);
-  } else {
-    // Writing into the tail block: if it is shared (forked), copy-on-write.
-    const std::size_t tail = seq.blocks.back();
-    if (ref_counts_[tail] > 1) {
-      const auto copy = AllocBlock();
-      if (!copy) return false;
-      ReleaseBlock(tail);
-      seq.blocks.back() = *copy;
-      ++cow_count_;
-    }
+    if (free_list_.empty()) return false;
+    seq->blocks.push_back(free_list_.back());
+    free_list_.pop_back();
+  } else if (std::size_t& tail = seq->blocks.back(); ref_counts_[tail] > 0) {
+    // Writing into a shared (forked) tail block: copy-on-write.
+    if (free_list_.empty()) return false;
+    --ref_counts_[tail];
+    tail = free_list_.back();
+    free_list_.pop_back();
+    ++cow_count_;
   }
-  ++seq.tokens;
+  ++seq->tokens;
   return true;
 }
 
 bool KvBlockManager::Fork(SeqId parent, SeqId child) {
-  auto it = sequences_.find(parent);
-  if (it == sequences_.end() || sequences_.contains(child)) return false;
-  Sequence copy = it->second;
+  if (!HasSequence(parent) || HasSequence(child)) return false;
+  Sequence& copy = Insert(child);
+  copy = *Find(parent);  // after Insert, which may move the parent
   for (const std::size_t block : copy.blocks) ++ref_counts_[block];
   // The child holds its own references to the shared prefix blocks, so the
   // index counts them once per holder (the parent freeing alone must not
   // evict the hashes).
   for (const std::uint64_t h : copy.prefix_hashes) prefix_index_.Add(h);
-  sequences_.emplace(child, std::move(copy));
   return true;
 }
 
 void KvBlockManager::Free(SeqId id) {
-  const auto it = sequences_.find(id);
-  if (it == sequences_.end()) return;
-  UnregisterPrefix(it->second);
-  Erase(it);
+  const std::size_t i = ids_.Find(id);
+  if (i == FlatKeyTable::kAbsent) return;
+  UnregisterPrefix(At(i));
+  Erase(i);
 }
 
 KvExport KvBlockManager::Export(SeqId id) {
   KvExport out;
   out.id = id;
-  const auto it = sequences_.find(id);
-  if (it == sequences_.end()) return out;
-  Sequence& seq = it->second;
+  const std::size_t i = ids_.Find(id);
+  if (i == FlatKeyTable::kAbsent) return out;
+  Sequence& seq = At(i);
   out.tokens = seq.tokens;
   out.blocks = seq.blocks.size();
   // Unpublish, then hand the sequence's own hash vector to the export: the
   // local copy is about to be erased anyway.
   UnregisterPrefix(seq);
   out.prefix_hashes = std::move(seq.prefix_hashes);
-  Erase(it);
+  Erase(i);
   return out;
 }
 
-void KvBlockManager::Erase(SequenceMap::iterator it) {
-  for (const std::size_t block : it->second.blocks) ReleaseBlock(block);
-  sequences_.erase(it);
+void KvBlockManager::Erase(std::size_t i) {
+  const std::uint32_t slot = ids_.value(i) - 1;
+  Sequence& seq = slab_[slot];
+  // Push each block no other sequence shares, in table order: the order one
+  // release per block would push them.  A shared block only loses a sharer.
+  // The list grows once up front and is cut back to what was pushed.
+  std::size_t top = free_list_.size();
+  free_list_.resize(top + seq.blocks.size());
+  for (const std::size_t block : seq.blocks) {
+    std::uint32_t& sharers = ref_counts_[block];
+    free_list_[top] = block;
+    if (sharers == 0) {
+      ++top;
+    } else {
+      --sharers;
+    }
+  }
+  free_list_.resize(top);
+  assert(top <= total_blocks());  // no block released twice
+  seq.blocks.clear();
+  seq.prefix_hashes.clear();
+  seq.tokens = 0;
+  free_slots_.push_back(slot);
+  ids_.EraseAt(i);
 }
 
 bool KvBlockManager::Import(const KvExport& exported) {
-  if (sequences_.contains(exported.id)) return false;
   if (!AddSequence(exported.id, exported.tokens)) return false;
   RegisterPrefix(exported.id, exported.prefix_hashes);
   return true;
@@ -173,18 +205,18 @@ bool KvBlockManager::Import(const KvExport& exported) {
 
 void KvBlockManager::RegisterPrefix(SeqId id,
                                     std::span<const std::uint64_t> hashes) {
-  const auto it = sequences_.find(id);
-  if (it == sequences_.end()) return;
-  UnregisterPrefix(it->second);  // the assign below replaces the hashes
-  it->second.prefix_hashes.assign(hashes.begin(), hashes.end());
-  for (const std::uint64_t h : it->second.prefix_hashes) prefix_index_.Add(h);
+  Sequence* seq = Find(id);
+  if (seq == nullptr) return;
+  UnregisterPrefix(*seq);  // the assign below replaces the hashes
+  seq->prefix_hashes.assign(hashes.begin(), hashes.end());
+  for (const std::uint64_t h : seq->prefix_hashes) prefix_index_.Add(h);
 }
 
 std::span<const std::uint64_t> KvBlockManager::RegisteredPrefix(
     SeqId id) const {
-  const auto it = sequences_.find(id);
-  if (it == sequences_.end()) return {};
-  return it->second.prefix_hashes;
+  const Sequence* seq = Find(id);
+  if (seq == nullptr) return {};
+  return seq->prefix_hashes;
 }
 
 void KvBlockManager::UnregisterPrefix(const Sequence& seq) {
@@ -192,14 +224,14 @@ void KvBlockManager::UnregisterPrefix(const Sequence& seq) {
 }
 
 std::size_t KvBlockManager::SequenceTokens(SeqId id) const {
-  const auto it = sequences_.find(id);
-  return it == sequences_.end() ? 0 : it->second.tokens;
+  const Sequence* seq = Find(id);
+  return seq == nullptr ? 0 : seq->tokens;
 }
 
 const std::vector<std::size_t>& KvBlockManager::BlockTable(SeqId id) const {
   static const std::vector<std::size_t> kEmpty;
-  const auto it = sequences_.find(id);
-  return it == sequences_.end() ? kEmpty : it->second.blocks;
+  const Sequence* seq = Find(id);
+  return seq == nullptr ? kEmpty : seq->blocks;
 }
 
 }  // namespace liquid::serving

@@ -3,19 +3,91 @@
 // SOSP'23).  A real allocator, not a byte counter: fixed-size token blocks,
 // per-sequence block tables, reference-counted sharing (prefix forking) with
 // copy-on-write on append, and exact accounting the serving engine uses to
-// decide the out-of-memory points of Table 1.
+// decide the out-of-memory points of Table 1.  A sequence operation costs
+// one pass over its block ids, not one allocator call per block.
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 namespace liquid::serving {
 
 using SeqId = std::uint64_t;
+
+/// Flat open-addressing table from 64-bit keys to nonzero 32-bit values —
+/// the storage under PrefixIndex (value = reference count) and under
+/// KvBlockManager's sequence table (value = slab slot + 1).
+///
+/// Storage is a power-of-two vector of {key, value} slots where value 0
+/// marks an empty slot, linear probing from a multiplicative (Fibonacci)
+/// home slot, and backward-shift deletion, so there are no tombstones.  It
+/// allocates nothing until the first Insert, doubles when an insert would
+/// pass 7/8 full, and never shrinks: once grown to a working set, Insert and
+/// EraseAt neither allocate nor free.
+class FlatKeyTable {
+ public:
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  /// Index of `key`'s slot, or kAbsent.
+  [[nodiscard]] std::size_t Find(std::uint64_t key) const {
+    if (slots_.empty()) return kAbsent;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = HomeSlot(key, slots_.size());; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.value == 0) return kAbsent;
+      if (s.key == key) return i;
+    }
+  }
+  /// Value in slot `i` (an index Find returned).  Writing 0 is not allowed:
+  /// empty a slot with EraseAt.
+  [[nodiscard]] std::uint32_t& value(std::size_t i) { return slots_[i].value; }
+  [[nodiscard]] std::uint32_t value(std::size_t i) const {
+    return slots_[i].value;
+  }
+  /// Inserts a key that is not present, with a nonzero value.  May grow the
+  /// table, which invalidates every index Find returned.
+  void Insert(std::uint64_t key, std::uint32_t value);
+  /// Empties slot `i` (an index Find returned).
+  void EraseAt(std::size_t i);
+
+  /// Occupied slots.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// Slots allocated (0 before the first Insert; a power of two after).
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+
+  /// Slot a key probes first in a table of `capacity` slots (a power of
+  /// two): the top log2(capacity) bits of key × 2^64/φ.  Public so tests
+  /// can build keys that collide.
+  [[nodiscard]] static std::size_t HomeSlot(std::uint64_t key,
+                                            std::size_t capacity) {
+    return static_cast<std::size_t>(
+        (key * 0x9E3779B97F4A7C15ull) >> (64 - std::countr_zero(capacity)));
+  }
+
+ private:
+  // Packed to 12 bytes (4-byte aligned): a quarter less memory per slot
+  // than the naturally padded 16, for the same one-load key compare on
+  // targets with unaligned loads.
+#pragma pack(push, 4)
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t value = 0;  ///< 0 = empty slot
+  };
+#pragma pack(pop)
+  static_assert(sizeof(Slot) == 12);
+
+  void Grow();
+
+  /// Determinism audit: which slot holds a key is a pure function of the
+  /// Insert/EraseAt sequence (fixed multiplier, fixed probe order, fixed
+  /// growth points), so the layout is reproducible run to run.  Even so,
+  /// nothing observable depends on it: Grow is the only walk over the slots,
+  /// and it only reinserts them; every query is a keyed lookup.
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;  ///< occupied slots
+};
 
 /// Multiset of prefix-block hashes resident in one replica's KV pool — the
 /// per-replica half of the fleet-wide prefix-cache index.  The router scores
@@ -23,20 +95,13 @@ using SeqId = std::uint64_t;
 /// the scheduler skips that run's prefill compute.  Counts are references
 /// (several sequences can hold the same preamble), so a block's hash leaves
 /// the index only when its last holder frees; removing an absent hash is a
-/// no-op.
-///
-/// Storage is one flat open-addressing table: a power-of-two vector of
-/// {hash, count} slots where count 0 marks an empty slot, linear probing
-/// from a multiplicative (Fibonacci) home slot, and backward-shift deletion,
-/// so there are no tombstones.  It allocates nothing until the first Add,
-/// doubles when an insert would pass 7/8 full, and never shrinks: once grown
-/// to a replica's working set, Add and Remove neither allocate nor free.
+/// no-op.  Storage is one FlatKeyTable from hash to count.
 class PrefixIndex {
  public:
   void Add(std::uint64_t hash);
   void Remove(std::uint64_t hash);
   [[nodiscard]] bool Contains(std::uint64_t hash) const {
-    return Find(hash) != kAbsent;
+    return table_.Find(hash) != FlatKeyTable::kAbsent;
   }
   /// Longest leading run of `hashes` resident here — the contiguous prefix a
   /// prefill on this replica could reuse.  Stops at the first miss: rolling
@@ -57,53 +122,19 @@ class PrefixIndex {
   /// the same answer; callers memoize index-derived values on it.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Distinct resident hashes.
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] bool empty() const { return size() == 0; }
   /// Slots allocated (0 before the first Add; a power of two after).
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return table_.capacity(); }
 
-  /// Slot a hash probes first in a table of `capacity` slots (a power of
-  /// two): the top log2(capacity) bits of hash × 2^64/φ.  Public so tests
-  /// can build keys that collide.
+  /// Slot a hash probes first in a table of `capacity` slots.
   [[nodiscard]] static std::size_t HomeSlot(std::uint64_t hash,
                                             std::size_t capacity) {
-    return static_cast<std::size_t>(
-        (hash * 0x9E3779B97F4A7C15ull) >> (64 - std::countr_zero(capacity)));
+    return FlatKeyTable::HomeSlot(hash, capacity);
   }
 
  private:
-  // Packed to 12 bytes (4-byte aligned): a quarter less memory per slot
-  // than the naturally padded 16, for the same one-load hash compare on
-  // targets with unaligned loads.
-#pragma pack(push, 4)
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::uint32_t count = 0;  ///< 0 = empty slot
-  };
-#pragma pack(pop)
-  static_assert(sizeof(Slot) == 12);
-  static constexpr std::size_t kAbsent = ~std::size_t{0};
-
-  /// Index of `hash`'s slot, or kAbsent.
-  [[nodiscard]] std::size_t Find(std::uint64_t hash) const {
-    if (slots_.empty()) return kAbsent;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = HomeSlot(hash, slots_.size());;
-         i = (i + 1) & mask) {
-      const Slot& s = slots_[i];
-      if (s.count == 0) return kAbsent;
-      if (s.hash == hash) return i;
-    }
-  }
-  void Grow();
-
-  /// Determinism audit: which slot holds a hash is a pure function of the
-  /// Add/Remove sequence (fixed multiplier, fixed probe order, fixed growth
-  /// points), so the layout is reproducible run to run.  Even so, nothing
-  /// observable depends on it: Grow is the only walk over the slots, and it
-  /// only reinserts them; every query is a keyed lookup.
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;  ///< occupied slots
+  FlatKeyTable table_;
   std::uint64_t epoch_ = 0;
 };
 
@@ -136,16 +167,16 @@ class KvBlockManager {
   bool AppendToken(SeqId id);
 
   /// Forks `child` from `parent` (beam search / prefix sharing): the child
-  /// shares all parent blocks, bumping reference counts.  O(blocks).
+  /// shares all parent blocks, bumping their sharer counts.  O(blocks).
   bool Fork(SeqId parent, SeqId child);
 
-  /// Releases a sequence; blocks with refcount hitting zero return to the
+  /// Releases a sequence; the blocks no other sequence shares return to the
   /// free list.
   void Free(SeqId id);
 
   /// Detaches a sequence for migration: captures its descriptor, then frees
-  /// it locally (refcount-aware — blocks shared with a forked sibling only
-  /// drop a reference).  An unknown id exports as {id, 0, 0}.
+  /// it locally (sharing-aware — blocks shared with a forked sibling only
+  /// drop a sharer).  An unknown id exports as {id, 0, 0}.
   [[nodiscard]] KvExport Export(SeqId id);
 
   /// Materializes an exported sequence in this pool, allocating fresh blocks
@@ -159,7 +190,8 @@ class KvBlockManager {
   /// Free/Export/Fork maintain the registration automatically from then on;
   /// re-registering an id replaces its previous registration.
   void RegisterPrefix(SeqId id, std::span<const std::uint64_t> hashes);
-  /// Hashes currently registered for a sequence (empty if none).
+  /// Hashes currently registered for a sequence (empty if none).  The span
+  /// is valid until the next call that adds a sequence.
   [[nodiscard]] std::span<const std::uint64_t> RegisteredPrefix(
       SeqId id) const;
   /// The replica-wide resident-prefix index (routing reads this).
@@ -174,9 +206,11 @@ class KvBlockManager {
   }
   [[nodiscard]] std::size_t block_tokens() const { return block_tokens_; }
   [[nodiscard]] bool HasSequence(SeqId id) const {
-    return sequences_.contains(id);
+    return ids_.Find(id) != FlatKeyTable::kAbsent;
   }
   [[nodiscard]] std::size_t SequenceTokens(SeqId id) const;
+  /// The sequence's physical block ids in token order (empty if unknown).
+  /// The reference is valid until the next call that adds a sequence.
   [[nodiscard]] const std::vector<std::size_t>& BlockTable(SeqId id) const;
   /// Blocks a new sequence of `tokens` tokens would need.
   [[nodiscard]] std::size_t BlocksNeeded(std::size_t tokens) const {
@@ -197,21 +231,39 @@ class KvBlockManager {
     std::vector<std::uint64_t> prefix_hashes;
   };
 
-  using SequenceMap = std::unordered_map<SeqId, Sequence>;
-
-  std::optional<std::size_t> AllocBlock();
-  void ReleaseBlock(std::size_t block);
+  /// The live sequence with `id`, or nullptr.
+  [[nodiscard]] const Sequence* Find(SeqId id) const;
+  [[nodiscard]] Sequence* Find(SeqId id);
+  /// Sequence in `ids_` slot `i` (an index ids_.Find returned).
+  [[nodiscard]] Sequence& At(std::size_t i) { return slab_[ids_.value(i) - 1]; }
+  /// Registers an absent id on a cleared slab slot and returns it.  May grow
+  /// the slab and the table: references and indices taken before it are
+  /// invalid after.
+  Sequence& Insert(SeqId id);
   /// Drops the sequence's hashes from the index; its own list is untouched.
   void UnregisterPrefix(const Sequence& seq);
-  /// Releases the sequence's blocks and forgets it (no index update).
-  void Erase(SequenceMap::iterator it);
+  /// Releases the blocks of the sequence in `ids_` slot `i`, clears its slab
+  /// slot for reuse and forgets the id (no index update).
+  void Erase(std::size_t i);
 
   std::size_t block_tokens_;
+  /// Extra sharers per block: 0 for a free or exclusively owned block, n
+  /// for a block n + 1 sequences hold.  Allocation never writes it; only
+  /// Fork, copy-on-write and the release of a shared block do.
   std::vector<std::uint32_t> ref_counts_;
+  /// LIFO stack of free block ids; the top is back().
   std::vector<std::size_t> free_list_;
-  /// Determinism audit: keyed lookup/erase only — never iterated; block
-  /// accounting walks the vectors above instead.
-  SequenceMap sequences_;
+  /// Determinism audit: `ids_` maps a live id to its slab slot + 1 and is
+  /// used for keyed lookup and erase only — never iterated.  Which slab slot
+  /// a sequence gets (the most recently freed one, else a new one) is a pure
+  /// function of the call sequence and invisible outside.  Block accounting
+  /// walks `ref_counts_` and `free_list_` instead.
+  FlatKeyTable ids_;
+  /// Sequence storage.  A freed slot is cleared but keeps the capacity of
+  /// its vectors, so a sequence no longer than the slot's earlier ones
+  /// reuses them without allocating.
+  std::vector<Sequence> slab_;
+  std::vector<std::uint32_t> free_slots_;  ///< cleared slab slots, LIFO
   std::size_t cow_count_ = 0;
   PrefixIndex prefix_index_;
 };

@@ -1,9 +1,12 @@
 // Tests of the PagedAttention-style block manager: allocation, growth,
-// fork/copy-on-write sharing, OOM behaviour, and accounting invariants.
+// fork/copy-on-write sharing, OOM behaviour, accounting invariants, and the
+// edge cases of its flat sequence table and slot reuse.
 
 #include "serving/kv_cache.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 namespace liquid::serving {
 namespace {
@@ -118,6 +121,156 @@ TEST(KvCacheTest, BlocksNeededHelper) {
   EXPECT_EQ(m.BlocksNeeded(1), 1u);
   EXPECT_EQ(m.BlocksNeeded(16), 1u);
   EXPECT_EQ(m.BlocksNeeded(17), 2u);
+}
+
+// Ids sharing one home slot in every sequence table up to 2^10 slots (the
+// home slot at 2^10 slots fixes it at each smaller power of two), and that
+// slot is the last one: their probe run wraps past the end of the table.
+std::vector<SeqId> CollidingIds(std::size_t count) {
+  constexpr std::size_t kSlots = std::size_t{1} << 10;
+  std::vector<SeqId> ids;
+  for (SeqId id = 0; ids.size() < count; ++id) {
+    if (FlatKeyTable::HomeSlot(id, kSlots) == kSlots - 1) ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(KvCacheTest, ReleaseInTheMiddleOfAProbeRunKeepsEveryOtherIdFindable) {
+  const std::vector<SeqId> ids = CollidingIds(6);
+  for (std::size_t victim = 0; victim < ids.size(); ++victim) {
+    SCOPED_TRACE(victim);
+    KvBlockManager m(64, 4);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      ASSERT_TRUE(m.AddSequence(ids[k], 4 * (k + 1)));  // k + 1 blocks
+    }
+    // Free and Export both erase from the table.
+    if (victim % 2 == 0) {
+      m.Free(ids[victim]);
+    } else {
+      EXPECT_EQ(m.Export(ids[victim]).blocks, victim + 1);
+    }
+    EXPECT_FALSE(m.HasSequence(ids[victim]));
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (k == victim) continue;
+      EXPECT_TRUE(m.HasSequence(ids[k])) << k;
+      EXPECT_EQ(m.SequenceTokens(ids[k]), 4 * (k + 1)) << k;
+      EXPECT_EQ(m.BlockTable(ids[k]).size(), k + 1) << k;
+      EXPECT_TRUE(m.AppendToken(ids[k])) << k;
+    }
+    EXPECT_EQ(m.free_blocks(), 64u - (21u - (victim + 1)) - 5u);
+  }
+}
+
+TEST(KvCacheTest, TableGrowthWithLiveSequencesLosesNothing) {
+  constexpr std::size_t kPool = 4096;
+  KvBlockManager m(kPool, 16);
+  std::vector<SeqId> live;
+  const auto expect_all = [&] {
+    std::size_t held = 0;
+    for (const SeqId id : live) {
+      ASSERT_TRUE(m.HasSequence(id)) << id;
+      ASSERT_EQ(m.SequenceTokens(id), id % 37 + 1) << id;
+      ASSERT_EQ(m.BlockTable(id).size(), m.BlocksNeeded(id % 37 + 1)) << id;
+      ASSERT_EQ(m.RegisteredPrefix(id).size(), 1u) << id;
+      ASSERT_EQ(m.RegisteredPrefix(id)[0], id) << id;
+      held += m.BlockTable(id).size();
+    }
+    ASSERT_EQ(held + m.free_blocks(), kPool);
+  };
+  for (SeqId id = 0; id < 300; ++id) {
+    ASSERT_TRUE(m.AddSequence(id, id % 37 + 1));
+    const std::uint64_t hash[] = {id};
+    m.RegisterPrefix(id, hash);
+    live.push_back(id);
+  }
+  expect_all();
+  // Free every third, then grow again past the first peak.
+  std::erase_if(live, [&](SeqId id) {
+    if (id % 3 != 0) return false;
+    m.Free(id);
+    return true;
+  });
+  for (SeqId id = 1000; id < 1300; ++id) {
+    ASSERT_TRUE(m.AddSequence(id, id % 37 + 1));
+    const std::uint64_t hash[] = {id};
+    m.RegisterPrefix(id, hash);
+    live.push_back(id);
+  }
+  expect_all();
+  EXPECT_EQ(m.prefix_index().size(), live.size());
+}
+
+TEST(KvCacheTest, ReusedSlotStartsEmpty) {
+  KvBlockManager m(16, 4);
+  const std::vector<std::uint64_t> hashes = {7, 8, 9};
+  ASSERT_TRUE(m.AddSequence(1, 10));  // 3 blocks
+  m.RegisterPrefix(1, hashes);
+  ASSERT_TRUE(m.AppendToken(1));
+  m.Free(1);
+  // The next id takes the freed slot: no tokens, blocks or hashes carry.
+  ASSERT_TRUE(m.AddSequence(2, 0));
+  EXPECT_EQ(m.SequenceTokens(2), 0u);
+  EXPECT_TRUE(m.BlockTable(2).empty());
+  EXPECT_TRUE(m.RegisteredPrefix(2).empty());
+  EXPECT_TRUE(m.prefix_index().empty());
+  ASSERT_TRUE(m.AppendToken(2));
+  EXPECT_EQ(m.BlockTable(2).size(), 1u);
+  // Export hands the hashes away and frees the slot for the next id.
+  m.RegisterPrefix(2, hashes);
+  EXPECT_EQ(m.Export(2).prefix_hashes, hashes);
+  ASSERT_TRUE(m.AddSequence(3, 5));
+  EXPECT_EQ(m.SequenceTokens(3), 5u);
+  EXPECT_EQ(m.BlockTable(3).size(), 2u);
+  EXPECT_TRUE(m.RegisteredPrefix(3).empty());
+  // A forked child's slot, once freed, starts empty too.
+  m.RegisterPrefix(3, hashes);
+  ASSERT_TRUE(m.Fork(3, 4));
+  m.Free(3);
+  m.Free(4);
+  EXPECT_EQ(m.free_blocks(), 16u);
+  ASSERT_TRUE(m.AddSequence(5, 0));
+  ASSERT_TRUE(m.Fork(5, 6));
+  for (const SeqId id : {SeqId{5}, SeqId{6}}) {
+    EXPECT_EQ(m.SequenceTokens(id), 0u);
+    EXPECT_TRUE(m.BlockTable(id).empty());
+    EXPECT_TRUE(m.RegisteredPrefix(id).empty());
+  }
+  EXPECT_TRUE(m.prefix_index().empty());
+}
+
+TEST(KvCacheTest, UnknownIdsAreNoOps) {
+  KvBlockManager m(8, 4);
+  ASSERT_TRUE(m.AddSequence(1, 6));  // 2 blocks
+  const std::uint64_t hash[] = {3};
+  m.RegisterPrefix(1, hash);
+  const auto expect_unknown = [&](SeqId id) {
+    m.Free(id);
+    const KvExport e = m.Export(id);
+    EXPECT_EQ(e.id, id);
+    EXPECT_EQ(e.tokens, 0u);
+    EXPECT_EQ(e.blocks, 0u);
+    EXPECT_TRUE(e.prefix_hashes.empty());
+    EXPECT_FALSE(m.AppendToken(id));
+    EXPECT_FALSE(m.HasSequence(id));
+    EXPECT_EQ(m.SequenceTokens(id), 0u);
+    EXPECT_TRUE(m.BlockTable(id).empty());
+    EXPECT_TRUE(m.RegisteredPrefix(id).empty());
+  };
+  for (const SeqId id : {SeqId{0}, SeqId{2}, ~SeqId{0}}) expect_unknown(id);
+  // The live sequence is untouched.
+  EXPECT_EQ(m.free_blocks(), 6u);
+  EXPECT_EQ(m.SequenceTokens(1), 6u);
+  EXPECT_TRUE(m.prefix_index().Contains(3));
+  // A freed id is unknown again, and freeing it twice changes nothing.
+  m.Free(1);
+  expect_unknown(1);
+  EXPECT_EQ(m.free_blocks(), 8u);
+  EXPECT_TRUE(m.prefix_index().empty());
+  // 0 and ~0 are ordinary ids.
+  ASSERT_TRUE(m.AddSequence(0, 4));
+  ASSERT_TRUE(m.AddSequence(~SeqId{0}, 8));
+  EXPECT_EQ(m.BlockTable(0).size(), 1u);
+  EXPECT_EQ(m.BlockTable(~SeqId{0}).size(), 2u);
 }
 
 }  // namespace

@@ -1,0 +1,332 @@
+// Oracle test for KvBlockManager's bookkeeping: a seeded random mix of every
+// mutating operation drives the real manager and a reference copy of the
+// straightforward per-block design (a node map of sequences, one allocator
+// call per block, a full reference count per block).  After every operation
+// both must agree on every block table, every counter and the prefix index,
+// so the bulk block moves, the flat sequence table and the sharer counts
+// change no block id a caller can see.
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "serving/kv_cache.hpp"
+#include "util/rng.hpp"
+
+namespace liquid::serving {
+namespace {
+
+/// The per-block reference: every block is allocated and released on its
+/// own, and ref_counts_ holds the full holder count (1 when exclusive).
+class ReferenceKvBlockManager {
+ public:
+  ReferenceKvBlockManager(std::size_t total_blocks, std::size_t block_tokens)
+      : block_tokens_(block_tokens), ref_counts_(total_blocks, 0) {
+    for (std::size_t b = total_blocks; b-- > 0;) free_list_.push_back(b);
+  }
+
+  bool AddSequence(SeqId id, std::size_t prompt_tokens) {
+    if (sequences_.contains(id)) return false;
+    const std::size_t need = BlocksNeeded(prompt_tokens);
+    if (free_list_.size() < need) return false;
+    Sequence seq;
+    seq.tokens = prompt_tokens;
+    for (std::size_t i = 0; i < need; ++i) seq.blocks.push_back(*AllocBlock());
+    sequences_.emplace(id, std::move(seq));
+    return true;
+  }
+
+  bool AppendToken(SeqId id) {
+    const auto it = sequences_.find(id);
+    if (it == sequences_.end()) return false;
+    Sequence& seq = it->second;
+    if (seq.tokens % block_tokens_ == 0 || seq.blocks.empty()) {
+      const auto block = AllocBlock();
+      if (!block) return false;
+      seq.blocks.push_back(*block);
+    } else if (ref_counts_[seq.blocks.back()] > 1) {
+      const auto copy = AllocBlock();
+      if (!copy) return false;
+      ReleaseBlock(seq.blocks.back());
+      seq.blocks.back() = *copy;
+      ++cow_count_;
+    }
+    ++seq.tokens;
+    return true;
+  }
+
+  bool Fork(SeqId parent, SeqId child) {
+    const auto it = sequences_.find(parent);
+    if (it == sequences_.end() || sequences_.contains(child)) return false;
+    Sequence copy = it->second;
+    for (const std::size_t block : copy.blocks) ++ref_counts_[block];
+    for (const std::uint64_t h : copy.prefix_hashes) prefix_index_.Add(h);
+    sequences_.emplace(child, std::move(copy));
+    return true;
+  }
+
+  void Free(SeqId id) {
+    const auto it = sequences_.find(id);
+    if (it == sequences_.end()) return;
+    Unregister(it->second);
+    Erase(it);
+  }
+
+  KvExport Export(SeqId id) {
+    KvExport out;
+    out.id = id;
+    const auto it = sequences_.find(id);
+    if (it == sequences_.end()) return out;
+    out.tokens = it->second.tokens;
+    out.blocks = it->second.blocks.size();
+    out.prefix_hashes = it->second.prefix_hashes;
+    Unregister(it->second);
+    Erase(it);
+    return out;
+  }
+
+  bool Import(const KvExport& exported) {
+    if (!AddSequence(exported.id, exported.tokens)) return false;
+    RegisterPrefix(exported.id, exported.prefix_hashes);
+    return true;
+  }
+
+  void RegisterPrefix(SeqId id, std::span<const std::uint64_t> hashes) {
+    const auto it = sequences_.find(id);
+    if (it == sequences_.end()) return;
+    Unregister(it->second);
+    it->second.prefix_hashes.assign(hashes.begin(), hashes.end());
+    for (const std::uint64_t h : hashes) prefix_index_.Add(h);
+  }
+
+  [[nodiscard]] std::span<const std::uint64_t> RegisteredPrefix(
+      SeqId id) const {
+    const auto it = sequences_.find(id);
+    if (it == sequences_.end()) return {};
+    return it->second.prefix_hashes;
+  }
+  [[nodiscard]] const PrefixIndex& prefix_index() const {
+    return prefix_index_;
+  }
+  [[nodiscard]] std::size_t free_blocks() const { return free_list_.size(); }
+  /// Whether any block has more than one holder.
+  [[nodiscard]] bool AnyShared() const {
+    for (const std::uint32_t n : ref_counts_) {
+      if (n > 1) return true;
+    }
+    return false;
+  }
+  [[nodiscard]] std::size_t cow_count() const { return cow_count_; }
+  [[nodiscard]] bool HasSequence(SeqId id) const {
+    return sequences_.contains(id);
+  }
+  [[nodiscard]] std::size_t SequenceTokens(SeqId id) const {
+    const auto it = sequences_.find(id);
+    return it == sequences_.end() ? 0 : it->second.tokens;
+  }
+  [[nodiscard]] std::vector<std::size_t> BlockTable(SeqId id) const {
+    const auto it = sequences_.find(id);
+    return it == sequences_.end() ? std::vector<std::size_t>{}
+                                  : it->second.blocks;
+  }
+
+ private:
+  struct Sequence {
+    std::vector<std::size_t> blocks;
+    std::size_t tokens = 0;
+    std::vector<std::uint64_t> prefix_hashes;
+  };
+  using SequenceMap = std::unordered_map<SeqId, Sequence>;
+
+  [[nodiscard]] std::size_t BlocksNeeded(std::size_t tokens) const {
+    return (tokens + block_tokens_ - 1) / block_tokens_;
+  }
+  std::optional<std::size_t> AllocBlock() {
+    if (free_list_.empty()) return std::nullopt;
+    const std::size_t block = free_list_.back();
+    free_list_.pop_back();
+    ref_counts_[block] = 1;
+    return block;
+  }
+  void ReleaseBlock(std::size_t block) {
+    if (--ref_counts_[block] == 0) free_list_.push_back(block);
+  }
+  void Unregister(const Sequence& seq) {
+    for (const std::uint64_t h : seq.prefix_hashes) prefix_index_.Remove(h);
+  }
+  void Erase(SequenceMap::iterator it) {
+    for (const std::size_t block : it->second.blocks) ReleaseBlock(block);
+    sequences_.erase(it);
+  }
+
+  std::size_t block_tokens_;
+  std::vector<std::uint32_t> ref_counts_;
+  std::vector<std::size_t> free_list_;
+  SequenceMap sequences_;
+  std::size_t cow_count_ = 0;
+  PrefixIndex prefix_index_;
+};
+
+constexpr std::size_t kPoolBlocks = 48;
+constexpr std::size_t kBlockTokens = 4;
+constexpr SeqId kIds = 24;            // ids 0..23: live, dead and unknown
+constexpr std::uint64_t kHashes = 12;  // small alphabet: hashes overlap
+
+/// Two pools that sequences migrate between, each as the real manager and
+/// its reference twin.
+struct Pools {
+  KvBlockManager real[2] = {{kPoolBlocks, kBlockTokens},
+                            {kPoolBlocks, kBlockTokens}};
+  ReferenceKvBlockManager ref[2] = {{kPoolBlocks, kBlockTokens},
+                                    {kPoolBlocks, kBlockTokens}};
+};
+
+std::vector<std::uint64_t> RandomHashes(Rng& rng) {
+  std::vector<std::uint64_t> hashes(rng.Below(6));
+  for (std::uint64_t& h : hashes) h = 1000 + rng.Below(kHashes);
+  return hashes;
+}
+
+void ExpectSame(const KvBlockManager& real, const ReferenceKvBlockManager& ref,
+                const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(real.free_blocks(), ref.free_blocks());
+  ASSERT_EQ(real.cow_count(), ref.cow_count());
+  for (SeqId id = 0; id < kIds; ++id) {
+    ASSERT_EQ(real.HasSequence(id), ref.HasSequence(id)) << "id " << id;
+    ASSERT_EQ(real.SequenceTokens(id), ref.SequenceTokens(id)) << "id " << id;
+    ASSERT_EQ(real.BlockTable(id), ref.BlockTable(id)) << "id " << id;
+    const auto a = real.RegisteredPrefix(id);
+    const auto b = ref.RegisteredPrefix(id);
+    ASSERT_EQ(std::vector<std::uint64_t>(a.begin(), a.end()),
+              std::vector<std::uint64_t>(b.begin(), b.end()))
+        << "id " << id;
+  }
+  const PrefixIndex& x = real.prefix_index();
+  const PrefixIndex& y = ref.prefix_index();
+  ASSERT_EQ(x.size(), y.size());
+  ASSERT_EQ(x.epoch(), y.epoch());
+  // Every leading run a signature over the alphabet can have.
+  std::vector<std::uint64_t> signature;
+  for (std::uint64_t h = 0; h < kHashes; ++h) {
+    signature.push_back(1000 + h);
+    ASSERT_EQ(x.Contains(1000 + h), y.Contains(1000 + h)) << "hash " << h;
+    ASSERT_EQ(x.SharedPrefixBlocks(signature), y.SharedPrefixBlocks(signature));
+    const std::uint64_t one[] = {1000 + h};
+    ASSERT_EQ(x.SharedPrefixBlocks(one), y.SharedPrefixBlocks(one));
+  }
+}
+
+/// How often the reference took each path the mix is meant to reach.
+struct Coverage {
+  std::size_t adds = 0, appends = 0, append_ooms = 0, forks = 0, cows = 0,
+              frees_unshared = 0, frees_shared = 0, migrations = 0,
+              registrations = 0;
+};
+
+/// Runs `ops` random operations on seed `seed`, comparing the two managers
+/// after each, and returns the paths taken.
+Coverage RunMix(std::uint64_t seed, std::size_t ops) {
+  Rng rng(seed);
+  Pools pools;
+  Coverage seen;
+  for (std::size_t step = 0; step < ops; ++step) {
+    const std::size_t p = rng.Below(2);
+    KvBlockManager& real = pools.real[p];
+    ReferenceKvBlockManager& ref = pools.ref[p];
+    const SeqId id = rng.Below(kIds);
+    const std::uint64_t kind = rng.Below(100);
+    std::string what;
+    if (kind < 20) {
+      const std::size_t tokens = rng.Below(40);
+      what = "AddSequence(" + std::to_string(id) + ", " +
+             std::to_string(tokens) + ")";
+      const bool ok = ref.AddSequence(id, tokens);
+      EXPECT_EQ(real.AddSequence(id, tokens), ok) << what;
+      seen.adds += ok;
+    } else if (kind < 55) {
+      what = "AppendToken(" + std::to_string(id) + ")";
+      const std::size_t cows = ref.cow_count();
+      const bool ok = ref.AppendToken(id);
+      EXPECT_EQ(real.AppendToken(id), ok) << what;
+      seen.appends += ok;
+      seen.append_ooms += !ok && ref.HasSequence(id);
+      seen.cows += ref.cow_count() - cows;
+    } else if (kind < 65) {
+      const SeqId child = rng.Below(kIds);
+      what = "Fork(" + std::to_string(id) + ", " + std::to_string(child) + ")";
+      const bool ok = ref.Fork(id, child);
+      EXPECT_EQ(real.Fork(id, child), ok) << what;
+      seen.forks += ok;
+    } else if (kind < 78) {
+      what = "Free(" + std::to_string(id) + ")";
+      // Cover frees both while some block in the pool is shared and while
+      // none is.
+      (ref.AnyShared() ? seen.frees_shared : seen.frees_unshared) +=
+          ref.HasSequence(id);
+      ref.Free(id);
+      real.Free(id);
+    } else if (kind < 90) {
+      // Migrate to the other pool, sometimes under a new id.
+      what = "Export(" + std::to_string(id) + ") to pool " +
+             std::to_string(1 - p);
+      KvExport a = real.Export(id);
+      KvExport b = ref.Export(id);
+      EXPECT_EQ(a.id, b.id) << what;
+      EXPECT_EQ(a.tokens, b.tokens) << what;
+      EXPECT_EQ(a.blocks, b.blocks) << what;
+      EXPECT_EQ(a.prefix_hashes, b.prefix_hashes) << what;
+      if (rng.Below(4) == 0) a.id = b.id = rng.Below(kIds);
+      const bool ok = pools.ref[1 - p].Import(b);
+      EXPECT_EQ(pools.real[1 - p].Import(a), ok) << what;
+      seen.migrations += ok;
+      ExpectSame(pools.real[1 - p], pools.ref[1 - p], what);
+    } else {
+      const std::vector<std::uint64_t> hashes = RandomHashes(rng);
+      what = "RegisterPrefix(" + std::to_string(id) + ")";
+      seen.registrations += ref.HasSequence(id);
+      ref.RegisterPrefix(id, hashes);
+      real.RegisterPrefix(id, hashes);
+    }
+    ExpectSame(real, ref, "seed " + std::to_string(seed) + " step " +
+                              std::to_string(step) + ": " + what);
+    if (::testing::Test::HasFailure()) break;
+  }
+  return seen;
+}
+
+TEST(KvPoolOracleTest, RandomMixKeepsEveryBlockTableIdentical) {
+  Coverage total;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Coverage c = RunMix(seed, 4000);
+    if (HasFailure()) return;
+    total.adds += c.adds;
+    total.appends += c.appends;
+    total.append_ooms += c.append_ooms;
+    total.forks += c.forks;
+    total.cows += c.cows;
+    total.frees_unshared += c.frees_unshared;
+    total.frees_shared += c.frees_shared;
+    total.migrations += c.migrations;
+    total.registrations += c.registrations;
+  }
+  // The mix reached every path the oracle is there to check.
+  EXPECT_GT(total.adds, 100u);
+  EXPECT_GT(total.appends, 1000u);
+  EXPECT_GT(total.append_ooms, 100u);
+  EXPECT_GT(total.forks, 100u);
+  EXPECT_GT(total.cows, 100u);
+  EXPECT_GT(total.frees_unshared, 100u);
+  EXPECT_GT(total.frees_shared, 100u);
+  EXPECT_GT(total.migrations, 100u);
+  EXPECT_GT(total.registrations, 100u);
+}
+
+}  // namespace
+}  // namespace liquid::serving
