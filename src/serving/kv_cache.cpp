@@ -73,7 +73,7 @@ void PrefixIndex::Remove(std::uint64_t hash) {
 
 KvBlockManager::KvBlockManager(std::size_t total_blocks,
                                std::size_t block_tokens)
-    : block_tokens_(block_tokens), ref_counts_(total_blocks, 0) {
+    : block_tokens_(block_tokens), total_blocks_(total_blocks) {
   assert(block_tokens > 0);
   free_list_.resize(total_blocks);
   // LIFO free list: allocate low block ids first for determinism.
@@ -118,33 +118,12 @@ bool KvBlockManager::AddSequence(SeqId id, std::size_t prompt_tokens) {
 bool KvBlockManager::AppendToken(SeqId id) {
   Sequence* seq = Find(id);
   if (seq == nullptr) return false;
-  const bool needs_block =
-      seq->tokens % block_tokens_ == 0 || seq->blocks.empty();
-  if (needs_block) {
+  if (seq->tokens % block_tokens_ == 0) {  // full tail, or no block yet
     if (free_list_.empty()) return false;
     seq->blocks.push_back(free_list_.back());
     free_list_.pop_back();
-  } else if (std::size_t& tail = seq->blocks.back(); ref_counts_[tail] > 0) {
-    // Writing into a shared (forked) tail block: copy-on-write.
-    if (free_list_.empty()) return false;
-    --ref_counts_[tail];
-    tail = free_list_.back();
-    free_list_.pop_back();
-    ++cow_count_;
   }
   ++seq->tokens;
-  return true;
-}
-
-bool KvBlockManager::Fork(SeqId parent, SeqId child) {
-  if (!HasSequence(parent) || HasSequence(child)) return false;
-  Sequence& copy = Insert(child);
-  copy = *Find(parent);  // after Insert, which may move the parent
-  for (const std::size_t block : copy.blocks) ++ref_counts_[block];
-  // The child holds its own references to the shared prefix blocks, so the
-  // index counts them once per holder (the parent freeing alone must not
-  // evict the hashes).
-  for (const std::uint64_t h : copy.prefix_hashes) prefix_index_.Add(h);
   return true;
 }
 
@@ -174,22 +153,10 @@ KvExport KvBlockManager::Export(SeqId id) {
 void KvBlockManager::Erase(std::size_t i) {
   const std::uint32_t slot = ids_.value(i) - 1;
   Sequence& seq = slab_[slot];
-  // Push each block no other sequence shares, in table order: the order one
-  // release per block would push them.  A shared block only loses a sharer.
-  // The list grows once up front and is cut back to what was pushed.
-  std::size_t top = free_list_.size();
-  free_list_.resize(top + seq.blocks.size());
-  for (const std::size_t block : seq.blocks) {
-    std::uint32_t& sharers = ref_counts_[block];
-    free_list_[top] = block;
-    if (sharers == 0) {
-      ++top;
-    } else {
-      --sharers;
-    }
-  }
-  free_list_.resize(top);
-  assert(top <= total_blocks());  // no block released twice
+  // Push every block in table order: the order one release per block would
+  // push them.
+  free_list_.insert(free_list_.end(), seq.blocks.begin(), seq.blocks.end());
+  assert(free_list_.size() <= total_blocks());  // no block released twice
   seq.blocks.clear();
   seq.prefix_hashes.clear();
   seq.tokens = 0;

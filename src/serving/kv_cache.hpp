@@ -1,10 +1,11 @@
 #pragma once
 // PagedAttention-style KV-cache block manager (paper Section 6; Kwon et al.,
 // SOSP'23).  A real allocator, not a byte counter: fixed-size token blocks,
-// per-sequence block tables, reference-counted sharing (prefix forking) with
-// copy-on-write on append, and exact accounting the serving engine uses to
-// decide the out-of-memory points of Table 1.  A sequence operation costs
-// one pass over its block ids, not one allocator call per block.
+// per-sequence block tables with one owner per block, and exact accounting
+// the serving engine uses to decide the out-of-memory points of Table 1.
+// Prefix reuse is modelled by the PrefixIndex below, not by sharing physical
+// blocks.  A sequence operation costs one bulk move of its block ids, not one
+// allocator call per block.
 
 #include <bit>
 #include <cstddef>
@@ -140,10 +141,9 @@ class PrefixIndex {
 
 /// Descriptor of a sequence's KV state detached from any one block manager —
 /// the unit of (simulated) KV migration between replicas.  Blocks are the
-/// logical count a fresh Import() allocates; physical sharing (forked
-/// prefixes) does not survive the wire, so an imported sequence is dense.
-/// The prefix hashes DO survive it: migrated KV carries its identity, so the
-/// destination's index immediately advertises the moved blocks.
+/// count a fresh Import() allocates.  The prefix hashes survive the wire:
+/// migrated KV carries its identity, so the destination's index immediately
+/// advertises the moved blocks.
 struct KvExport {
   SeqId id = 0;
   std::size_t tokens = 0;
@@ -162,21 +162,16 @@ class KvBlockManager {
   bool AddSequence(SeqId id, std::size_t prompt_tokens);
 
   /// Appends one generated token; allocates a fresh block on a block
-  /// boundary, or copy-on-writes a shared tail block.  Returns false on OOM
-  /// (sequence state is unchanged).
+  /// boundary and otherwise writes into the sequence's own tail block.
+  /// Returns false on OOM (sequence state is unchanged).
   bool AppendToken(SeqId id);
 
-  /// Forks `child` from `parent` (beam search / prefix sharing): the child
-  /// shares all parent blocks, bumping their sharer counts.  O(blocks).
-  bool Fork(SeqId parent, SeqId child);
-
-  /// Releases a sequence; the blocks no other sequence shares return to the
-  /// free list.
+  /// Releases a sequence; all its blocks return to the free list.
   void Free(SeqId id);
 
   /// Detaches a sequence for migration: captures its descriptor, then frees
-  /// it locally (sharing-aware — blocks shared with a forked sibling only
-  /// drop a sharer).  An unknown id exports as {id, 0, 0}.
+  /// it locally, returning all its blocks.  An unknown id exports as
+  /// {id, 0, 0}.
   [[nodiscard]] KvExport Export(SeqId id);
 
   /// Materializes an exported sequence in this pool, allocating fresh blocks
@@ -187,8 +182,9 @@ class KvBlockManager {
 
   /// Publishes a sequence's prefix-block hashes in this pool's index (call
   /// once its KV actually holds them — at prefill completion or import).
-  /// Free/Export/Fork maintain the registration automatically from then on;
-  /// re-registering an id replaces its previous registration.
+  /// Free and Export drop the registration automatically; re-registering an
+  /// id replaces its previous registration.  Several sequences may register
+  /// the same hashes: the index keeps a hash until its last holder drops it.
   void RegisterPrefix(SeqId id, std::span<const std::uint64_t> hashes);
   /// Hashes currently registered for a sequence (empty if none).  The span
   /// is valid until the next call that adds a sequence.
@@ -199,7 +195,7 @@ class KvBlockManager {
     return prefix_index_;
   }
 
-  [[nodiscard]] std::size_t total_blocks() const { return ref_counts_.size(); }
+  [[nodiscard]] std::size_t total_blocks() const { return total_blocks_; }
   [[nodiscard]] std::size_t free_blocks() const { return free_list_.size(); }
   [[nodiscard]] std::size_t used_blocks() const {
     return total_blocks() - free_blocks();
@@ -219,8 +215,6 @@ class KvBlockManager {
   [[nodiscard]] bool CanAllocate(std::size_t blocks) const {
     return free_blocks() >= blocks;
   }
-  /// Copy-on-write events triggered so far (observability for tests).
-  [[nodiscard]] std::size_t cow_count() const { return cow_count_; }
 
  private:
   struct Sequence {
@@ -247,24 +241,20 @@ class KvBlockManager {
   void Erase(std::size_t i);
 
   std::size_t block_tokens_;
-  /// Extra sharers per block: 0 for a free or exclusively owned block, n
-  /// for a block n + 1 sequences hold.  Allocation never writes it; only
-  /// Fork, copy-on-write and the release of a shared block do.
-  std::vector<std::uint32_t> ref_counts_;
+  std::size_t total_blocks_;
   /// LIFO stack of free block ids; the top is back().
   std::vector<std::size_t> free_list_;
   /// Determinism audit: `ids_` maps a live id to its slab slot + 1 and is
   /// used for keyed lookup and erase only — never iterated.  Which slab slot
   /// a sequence gets (the most recently freed one, else a new one) is a pure
   /// function of the call sequence and invisible outside.  Block accounting
-  /// walks `ref_counts_` and `free_list_` instead.
+  /// reads `free_list_` and the block tables instead.
   FlatKeyTable ids_;
   /// Sequence storage.  A freed slot is cleared but keeps the capacity of
   /// its vectors, so a sequence no longer than the slot's earlier ones
   /// reuses them without allocating.
   std::vector<Sequence> slab_;
   std::vector<std::uint32_t> free_slots_;  ///< cleared slab slots, LIFO
-  std::size_t cow_count_ = 0;
   PrefixIndex prefix_index_;
 };
 

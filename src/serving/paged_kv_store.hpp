@@ -1,7 +1,7 @@
 #pragma once
 // Paged KV store with real quantized storage (paper Section 6).
 //
-// Combines the KvBlockManager (block tables, sharer counts) with actual byte
+// Combines the KvBlockManager (block tables, free list) with actual byte
 // storage: appended K/V token vectors are quantized to INT8 with per-channel
 // static scales (the LiquidServe / TRT-W8A8 configuration) and written into
 // their sequence's current block; reads gather a sequence's tokens through

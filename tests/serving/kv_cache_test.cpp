@@ -1,6 +1,6 @@
-// Tests of the PagedAttention-style block manager: allocation, growth,
-// fork/copy-on-write sharing, OOM behaviour, accounting invariants, and the
-// edge cases of its flat sequence table and slot reuse.
+// Tests of the PagedAttention-style block manager: allocation, growth, the
+// LIFO order blocks come back in, OOM behaviour, accounting invariants, and
+// the edge cases of its flat sequence table and slot reuse.
 
 #include "serving/kv_cache.hpp"
 
@@ -53,52 +53,62 @@ TEST(KvCacheTest, FreeReturnsBlocks) {
   EXPECT_FALSE(m.HasSequence(1));
 }
 
-TEST(KvCacheTest, ForkSharesBlocks) {
-  KvBlockManager m(10, 16);
-  ASSERT_TRUE(m.AddSequence(1, 32));  // 2 blocks
-  ASSERT_TRUE(m.Fork(1, 2));
-  EXPECT_EQ(m.used_blocks(), 2u);  // shared, not copied
-  EXPECT_EQ(m.BlockTable(2), m.BlockTable(1));
-  // Freeing the parent keeps the child's blocks alive.
+TEST(KvCacheTest, FreedTableComesBackLifoInTableOrder) {
+  KvBlockManager m(10, 4);
+  ASSERT_TRUE(m.AddSequence(1, 12));  // the top three free blocks
+  ASSERT_TRUE(m.AddSequence(2, 4));
+  const std::vector<std::size_t> freed = m.BlockTable(1);
+  ASSERT_EQ(freed, (std::vector<std::size_t>{0, 1, 2}));
   m.Free(1);
-  EXPECT_EQ(m.used_blocks(), 2u);
-  m.Free(2);
-  EXPECT_EQ(m.used_blocks(), 0u);
+  // Freed blocks are pushed in table order, so the next sequence pops them
+  // last block first, before any block that was never used.
+  ASSERT_TRUE(m.AddSequence(3, 16));
+  EXPECT_EQ(m.BlockTable(3), (std::vector<std::size_t>{2, 1, 0, 4}));
 }
 
-TEST(KvCacheTest, CopyOnWriteOnSharedTail) {
-  KvBlockManager m(10, 16);
-  ASSERT_TRUE(m.AddSequence(1, 20));  // blocks: [full, 4/16]
-  ASSERT_TRUE(m.Fork(1, 2));
-  EXPECT_EQ(m.cow_count(), 0u);
-  // Child appends into the shared partial tail -> must copy it.
-  EXPECT_TRUE(m.AppendToken(2));
-  EXPECT_EQ(m.cow_count(), 1u);
-  EXPECT_EQ(m.used_blocks(), 3u);
-  EXPECT_NE(m.BlockTable(2).back(), m.BlockTable(1).back());
-  // First block still shared.
-  EXPECT_EQ(m.BlockTable(2).front(), m.BlockTable(1).front());
+TEST(KvCacheTest, AppendOnBoundaryTakesTheTopFreeBlock) {
+  KvBlockManager m(10, 4);
+  ASSERT_TRUE(m.AddSequence(1, 8));  // blocks 0, 1
+  ASSERT_TRUE(m.AddSequence(2, 4));  // block 2, full
+  m.Free(1);
+  ASSERT_TRUE(m.AppendToken(2));
+  EXPECT_EQ(m.BlockTable(2), (std::vector<std::size_t>{2, 1}));
 }
 
-TEST(KvCacheTest, ForkChainRefCounting) {
-  KvBlockManager m(10, 16);
-  ASSERT_TRUE(m.AddSequence(1, 16));
-  ASSERT_TRUE(m.Fork(1, 2));
-  ASSERT_TRUE(m.Fork(2, 3));
-  EXPECT_EQ(m.used_blocks(), 1u);
-  m.Free(1);
-  m.Free(2);
-  EXPECT_EQ(m.used_blocks(), 1u);  // seq 3 still holds it
-  m.Free(3);
+TEST(KvCacheTest, AppendInsidePartlyFilledTailNeedsNoFreeBlock) {
+  KvBlockManager m(2, 4);
+  ASSERT_TRUE(m.AddSequence(1, 5));  // both blocks, tail 1/4 full
+  ASSERT_EQ(m.free_blocks(), 0u);
+  const std::vector<std::size_t> table = m.BlockTable(1);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(m.AppendToken(1)) << i;
+  EXPECT_EQ(m.SequenceTokens(1), 8u);
+  EXPECT_EQ(m.BlockTable(1), table);
+  EXPECT_FALSE(m.AppendToken(1));  // the tail is full now
+  EXPECT_EQ(m.SequenceTokens(1), 8u);
+}
+
+TEST(KvCacheTest, EmptySequenceHoldsNoBlockUntilItsFirstAppend) {
+  KvBlockManager m(1, 4);
+  ASSERT_TRUE(m.AddSequence(1, 0));
   EXPECT_EQ(m.used_blocks(), 0u);
+  ASSERT_TRUE(m.AddSequence(2, 3));  // takes the only block
+  EXPECT_FALSE(m.AppendToken(1));    // the first token needs a block
+  EXPECT_EQ(m.SequenceTokens(1), 0u);
+  EXPECT_TRUE(m.BlockTable(1).empty());
+  m.Free(2);
+  ASSERT_TRUE(m.AppendToken(1));
+  EXPECT_EQ(m.BlockTable(1), (std::vector<std::size_t>{0}));
 }
 
 TEST(KvCacheTest, DuplicateIdsRejected) {
   KvBlockManager m(10, 16);
   ASSERT_TRUE(m.AddSequence(1, 16));
   EXPECT_FALSE(m.AddSequence(1, 16));
-  EXPECT_FALSE(m.Fork(1, 1));
-  EXPECT_FALSE(m.Fork(99, 2));  // unknown parent
+  EXPECT_FALSE(
+      m.Import({.id = 1, .tokens = 32, .blocks = 2, .prefix_hashes = {}}));
+  // Neither rejected call touched the live sequence or the pool.
+  EXPECT_EQ(m.SequenceTokens(1), 16u);
+  EXPECT_EQ(m.used_blocks(), 1u);
 }
 
 TEST(KvCacheTest, ExactFillThenDrainCycle) {
@@ -222,14 +232,17 @@ TEST(KvCacheTest, ReusedSlotStartsEmpty) {
   EXPECT_EQ(m.SequenceTokens(3), 5u);
   EXPECT_EQ(m.BlockTable(3).size(), 2u);
   EXPECT_TRUE(m.RegisteredPrefix(3).empty());
-  // A forked child's slot, once freed, starts empty too.
+  // Two holders of the same hashes leave slots that, once freed, start
+  // empty too, for AddSequence and Import alike.
   m.RegisterPrefix(3, hashes);
-  ASSERT_TRUE(m.Fork(3, 4));
+  ASSERT_TRUE(m.AddSequence(4, 4));
+  m.RegisterPrefix(4, hashes);
   m.Free(3);
   m.Free(4);
   EXPECT_EQ(m.free_blocks(), 16u);
   ASSERT_TRUE(m.AddSequence(5, 0));
-  ASSERT_TRUE(m.Fork(5, 6));
+  ASSERT_TRUE(
+      m.Import({.id = 6, .tokens = 0, .blocks = 0, .prefix_hashes = {}}));
   for (const SeqId id : {SeqId{5}, SeqId{6}}) {
     EXPECT_EQ(m.SequenceTokens(id), 0u);
     EXPECT_TRUE(m.BlockTable(id).empty());

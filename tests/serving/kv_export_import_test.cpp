@@ -1,10 +1,12 @@
 // KV export/import round-trips (the block-manager half of simulated KV
-// migration): exporting must free exactly the blocks the sequence owned —
-// refcount-aware for forked shared prefixes — and importing must rebuild the
-// sequence with identical token count and logical block count on another
-// manager, leaving both pools' accounting exact.
+// migration): exporting must free exactly the blocks the sequence owned,
+// and importing must rebuild the sequence with identical token count and
+// block count on another manager, leaving both pools' accounting exact.
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <vector>
 
 #include "serving/kv_cache.hpp"
 
@@ -34,52 +36,43 @@ TEST(KvExportImportTest, RoundTripPreservesTokensAndBlocks) {
   EXPECT_EQ(dst.SequenceTokens(7), 50u);
 }
 
-TEST(KvExportImportTest, ExportOfForkedChildPreservesParentRefcounts) {
-  KvBlockManager pool(32, 16);
-  ASSERT_TRUE(pool.AddSequence(1, 60));  // 4 blocks, partial tail
-  const std::vector<std::size_t> parent_blocks = pool.BlockTable(1);
-  ASSERT_TRUE(pool.Fork(1, 2));          // shares all 4 blocks
-  EXPECT_EQ(pool.used_blocks(), 4u);
-
-  // Child appends into the shared tail: copy-on-write gives it its own tail.
-  ASSERT_TRUE(pool.AppendToken(2));
-  EXPECT_EQ(pool.cow_count(), 1u);
-  EXPECT_EQ(pool.used_blocks(), 5u);
-
-  // Exporting the child must release only its CoW tail plus its references
-  // on the shared blocks — the parent keeps all four blocks, intact.
-  const KvExport moved = pool.Export(2);
-  EXPECT_EQ(moved.tokens, 61u);
-  EXPECT_EQ(moved.blocks, 4u);
-  EXPECT_EQ(pool.used_blocks(), 4u);
-  EXPECT_TRUE(pool.HasSequence(1));
-  EXPECT_EQ(pool.BlockTable(1), parent_blocks);
-  EXPECT_EQ(pool.SequenceTokens(1), 60u);
-
-  // The parent's tail is exclusively owned again: appending must NOT trigger
-  // another copy-on-write.
-  ASSERT_TRUE(pool.AppendToken(1));
-  EXPECT_EQ(pool.cow_count(), 1u);
-
-  // The child materializes densely elsewhere (sharing never crosses pools).
-  KvBlockManager dst(8, 16);
-  ASSERT_TRUE(dst.Import(moved));
-  EXPECT_EQ(dst.SequenceTokens(2), 61u);
-  EXPECT_EQ(dst.used_blocks(), 4u);
+TEST(KvExportImportTest, ExportReturnsExactlyBlocksNeeded) {
+  // Token counts on, just past and just short of a block boundary, grown
+  // by appends so the tail is not where AddSequence left it.
+  for (const std::size_t prompt : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{15}, std::size_t{16},
+                                   std::size_t{17}, std::size_t{40}}) {
+    for (std::size_t appends = 0; appends < 18; appends += 5) {
+      SCOPED_TRACE(testing::Message() << prompt << " + " << appends);
+      KvBlockManager pool(16, 16);
+      ASSERT_TRUE(pool.AddSequence(1, 20));  // a neighbour that stays
+      ASSERT_TRUE(pool.AddSequence(2, prompt));
+      for (std::size_t i = 0; i < appends; ++i) {
+        ASSERT_TRUE(pool.AppendToken(2));
+      }
+      const std::size_t free_before = pool.free_blocks();
+      const KvExport moved = pool.Export(2);
+      EXPECT_EQ(moved.tokens, prompt + appends);
+      EXPECT_EQ(moved.blocks, pool.BlocksNeeded(moved.tokens));
+      EXPECT_EQ(pool.free_blocks() - free_before, moved.blocks);
+      EXPECT_EQ(pool.used_blocks(), 2u);  // the neighbour's
+    }
+  }
 }
 
-TEST(KvExportImportTest, ExportOfParentLeavesChildAlive) {
+TEST(KvExportImportTest, ReimportIntoTheSamePoolReusesItsBlocksLifo) {
   KvBlockManager pool(16, 16);
-  ASSERT_TRUE(pool.AddSequence(1, 32));
-  ASSERT_TRUE(pool.Fork(1, 2));
-  const KvExport moved = pool.Export(1);
-  EXPECT_EQ(moved.tokens, 32u);
-  // The child still references both blocks; nothing returned to the free
-  // list beyond the parent's dropped references.
-  EXPECT_EQ(pool.used_blocks(), 2u);
-  EXPECT_TRUE(pool.HasSequence(2));
-  EXPECT_EQ(pool.SequenceTokens(2), 32u);
-  EXPECT_TRUE(pool.AppendToken(2));
+  ASSERT_TRUE(pool.AddSequence(1, 20));  // blocks 0, 1
+  ASSERT_TRUE(pool.AddSequence(2, 40));  // blocks 2, 3, 4
+  const std::vector<std::size_t> neighbour = pool.BlockTable(1);
+  const KvExport moved = pool.Export(2);
+  ASSERT_TRUE(pool.Import(moved));
+  // The exported table was pushed in order, so the import pops it reversed;
+  // the other sequence keeps its blocks.
+  EXPECT_EQ(pool.BlockTable(2), (std::vector<std::size_t>{4, 3, 2}));
+  EXPECT_EQ(pool.SequenceTokens(2), 40u);
+  EXPECT_EQ(pool.BlockTable(1), neighbour);
+  EXPECT_EQ(pool.used_blocks(), 5u);
 }
 
 TEST(KvExportImportTest, ImportFailsCleanlyOnOomAndDuplicate) {

@@ -1,19 +1,21 @@
 // Oracle test for KvBlockManager's bookkeeping: a seeded random mix of every
 // mutating operation drives the real manager and a reference copy of the
 // straightforward per-block design (a node map of sequences, one allocator
-// call per block, a full reference count per block).  After every operation
-// both must agree on every block table, every counter and the prefix index,
-// so the bulk block moves, the flat sequence table and the sharer counts
-// change no block id a caller can see.
+// call per block).  After every operation both must agree on every block
+// table, every counter and the prefix index, so the bulk block moves and the
+// flat sequence table change no block id a caller can see; and the real
+// manager must keep one owner per block.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "serving/kv_cache.hpp"
@@ -22,12 +24,11 @@
 namespace liquid::serving {
 namespace {
 
-/// The per-block reference: every block is allocated and released on its
-/// own, and ref_counts_ holds the full holder count (1 when exclusive).
+/// The per-block reference: every block is allocated and released on its own.
 class ReferenceKvBlockManager {
  public:
   ReferenceKvBlockManager(std::size_t total_blocks, std::size_t block_tokens)
-      : block_tokens_(block_tokens), ref_counts_(total_blocks, 0) {
+      : block_tokens_(block_tokens) {
     for (std::size_t b = total_blocks; b-- > 0;) free_list_.push_back(b);
   }
 
@@ -50,24 +51,8 @@ class ReferenceKvBlockManager {
       const auto block = AllocBlock();
       if (!block) return false;
       seq.blocks.push_back(*block);
-    } else if (ref_counts_[seq.blocks.back()] > 1) {
-      const auto copy = AllocBlock();
-      if (!copy) return false;
-      ReleaseBlock(seq.blocks.back());
-      seq.blocks.back() = *copy;
-      ++cow_count_;
     }
     ++seq.tokens;
-    return true;
-  }
-
-  bool Fork(SeqId parent, SeqId child) {
-    const auto it = sequences_.find(parent);
-    if (it == sequences_.end() || sequences_.contains(child)) return false;
-    Sequence copy = it->second;
-    for (const std::size_t block : copy.blocks) ++ref_counts_[block];
-    for (const std::uint64_t h : copy.prefix_hashes) prefix_index_.Add(h);
-    sequences_.emplace(child, std::move(copy));
     return true;
   }
 
@@ -115,14 +100,6 @@ class ReferenceKvBlockManager {
     return prefix_index_;
   }
   [[nodiscard]] std::size_t free_blocks() const { return free_list_.size(); }
-  /// Whether any block has more than one holder.
-  [[nodiscard]] bool AnyShared() const {
-    for (const std::uint32_t n : ref_counts_) {
-      if (n > 1) return true;
-    }
-    return false;
-  }
-  [[nodiscard]] std::size_t cow_count() const { return cow_count_; }
   [[nodiscard]] bool HasSequence(SeqId id) const {
     return sequences_.contains(id);
   }
@@ -151,25 +128,21 @@ class ReferenceKvBlockManager {
     if (free_list_.empty()) return std::nullopt;
     const std::size_t block = free_list_.back();
     free_list_.pop_back();
-    ref_counts_[block] = 1;
     return block;
-  }
-  void ReleaseBlock(std::size_t block) {
-    if (--ref_counts_[block] == 0) free_list_.push_back(block);
   }
   void Unregister(const Sequence& seq) {
     for (const std::uint64_t h : seq.prefix_hashes) prefix_index_.Remove(h);
   }
   void Erase(SequenceMap::iterator it) {
-    for (const std::size_t block : it->second.blocks) ReleaseBlock(block);
+    for (const std::size_t block : it->second.blocks) {
+      free_list_.push_back(block);
+    }
     sequences_.erase(it);
   }
 
   std::size_t block_tokens_;
-  std::vector<std::uint32_t> ref_counts_;
   std::vector<std::size_t> free_list_;
   SequenceMap sequences_;
-  std::size_t cow_count_ = 0;
   PrefixIndex prefix_index_;
 };
 
@@ -197,7 +170,8 @@ void ExpectSame(const KvBlockManager& real, const ReferenceKvBlockManager& ref,
                 const std::string& where) {
   SCOPED_TRACE(where);
   ASSERT_EQ(real.free_blocks(), ref.free_blocks());
-  ASSERT_EQ(real.cow_count(), ref.cow_count());
+  std::unordered_set<std::size_t> held;  // every block some sequence holds
+  std::size_t held_count = 0;
   for (SeqId id = 0; id < kIds; ++id) {
     ASSERT_EQ(real.HasSequence(id), ref.HasSequence(id)) << "id " << id;
     ASSERT_EQ(real.SequenceTokens(id), ref.SequenceTokens(id)) << "id " << id;
@@ -207,7 +181,14 @@ void ExpectSame(const KvBlockManager& real, const ReferenceKvBlockManager& ref,
     ASSERT_EQ(std::vector<std::uint64_t>(a.begin(), a.end()),
               std::vector<std::uint64_t>(b.begin(), b.end()))
         << "id " << id;
+    held.insert(real.BlockTable(id).begin(), real.BlockTable(id).end());
+    held_count += real.BlockTable(id).size();
   }
+  // One owner per block: no id in two tables (or twice in one), every used
+  // block in some table, and every block either used or free.
+  ASSERT_EQ(held.size(), held_count) << "a block has two owners";
+  ASSERT_EQ(held.size(), real.used_blocks());
+  ASSERT_EQ(real.used_blocks() + real.free_blocks(), real.total_blocks());
   const PrefixIndex& x = real.prefix_index();
   const PrefixIndex& y = ref.prefix_index();
   ASSERT_EQ(x.size(), y.size());
@@ -225,9 +206,8 @@ void ExpectSame(const KvBlockManager& real, const ReferenceKvBlockManager& ref,
 
 /// How often the reference took each path the mix is meant to reach.
 struct Coverage {
-  std::size_t adds = 0, appends = 0, append_ooms = 0, forks = 0, cows = 0,
-              frees_unshared = 0, frees_shared = 0, migrations = 0,
-              registrations = 0;
+  std::size_t adds = 0, appends = 0, append_ooms = 0, frees = 0,
+              migrations = 0, registrations = 0, second_holders = 0;
 };
 
 /// Runs `ops` random operations on seed `seed`, comparing the two managers
@@ -243,36 +223,25 @@ Coverage RunMix(std::uint64_t seed, std::size_t ops) {
     const SeqId id = rng.Below(kIds);
     const std::uint64_t kind = rng.Below(100);
     std::string what;
-    if (kind < 20) {
+    if (kind < 22) {
       const std::size_t tokens = rng.Below(40);
       what = "AddSequence(" + std::to_string(id) + ", " +
              std::to_string(tokens) + ")";
       const bool ok = ref.AddSequence(id, tokens);
       EXPECT_EQ(real.AddSequence(id, tokens), ok) << what;
       seen.adds += ok;
-    } else if (kind < 55) {
+    } else if (kind < 60) {
       what = "AppendToken(" + std::to_string(id) + ")";
-      const std::size_t cows = ref.cow_count();
       const bool ok = ref.AppendToken(id);
       EXPECT_EQ(real.AppendToken(id), ok) << what;
       seen.appends += ok;
       seen.append_ooms += !ok && ref.HasSequence(id);
-      seen.cows += ref.cow_count() - cows;
-    } else if (kind < 65) {
-      const SeqId child = rng.Below(kIds);
-      what = "Fork(" + std::to_string(id) + ", " + std::to_string(child) + ")";
-      const bool ok = ref.Fork(id, child);
-      EXPECT_EQ(real.Fork(id, child), ok) << what;
-      seen.forks += ok;
-    } else if (kind < 78) {
+    } else if (kind < 74) {
       what = "Free(" + std::to_string(id) + ")";
-      // Cover frees both while some block in the pool is shared and while
-      // none is.
-      (ref.AnyShared() ? seen.frees_shared : seen.frees_unshared) +=
-          ref.HasSequence(id);
+      seen.frees += ref.HasSequence(id);
       ref.Free(id);
       real.Free(id);
-    } else if (kind < 90) {
+    } else if (kind < 88) {
       // Migrate to the other pool, sometimes under a new id.
       what = "Export(" + std::to_string(id) + ") to pool " +
              std::to_string(1 - p);
@@ -290,7 +259,16 @@ Coverage RunMix(std::uint64_t seed, std::size_t ops) {
     } else {
       const std::vector<std::uint64_t> hashes = RandomHashes(rng);
       what = "RegisterPrefix(" + std::to_string(id) + ")";
-      seen.registrations += ref.HasSequence(id);
+      if (ref.HasSequence(id)) {
+        ++seen.registrations;
+        // A hash the index holds for another sequence makes this one a
+        // second holder: the index must keep the hash until both drop it.
+        const auto own = ref.RegisteredPrefix(id);
+        seen.second_holders += std::ranges::any_of(hashes, [&](auto h) {
+          return ref.prefix_index().Contains(h) &&
+                 std::ranges::find(own, h) == own.end();
+        });
+      }
       ref.RegisterPrefix(id, hashes);
       real.RegisterPrefix(id, hashes);
     }
@@ -309,23 +287,19 @@ TEST(KvPoolOracleTest, RandomMixKeepsEveryBlockTableIdentical) {
     total.adds += c.adds;
     total.appends += c.appends;
     total.append_ooms += c.append_ooms;
-    total.forks += c.forks;
-    total.cows += c.cows;
-    total.frees_unshared += c.frees_unshared;
-    total.frees_shared += c.frees_shared;
+    total.frees += c.frees;
     total.migrations += c.migrations;
     total.registrations += c.registrations;
+    total.second_holders += c.second_holders;
   }
   // The mix reached every path the oracle is there to check.
   EXPECT_GT(total.adds, 100u);
   EXPECT_GT(total.appends, 1000u);
   EXPECT_GT(total.append_ooms, 100u);
-  EXPECT_GT(total.forks, 100u);
-  EXPECT_GT(total.cows, 100u);
-  EXPECT_GT(total.frees_unshared, 100u);
-  EXPECT_GT(total.frees_shared, 100u);
+  EXPECT_GT(total.frees, 100u);
   EXPECT_GT(total.migrations, 100u);
   EXPECT_GT(total.registrations, 100u);
+  EXPECT_GT(total.second_holders, 100u);
 }
 
 }  // namespace

@@ -225,11 +225,15 @@ TEST(PrefixIndexTest, KvLifecycleDrainsBothIndexesToZero) {
     } else if (kind == 2) {  // re-register with a different signature
       const SeqId id = live_src[rng() % live_src.size()];
       src.RegisterPrefix(id, signature().second.hashes);
-    } else if (kind == 3) {  // fork
-      const SeqId child = next_id++;
-      if (src.Fork(live_src[rng() % live_src.size()], child)) {
-        live_src.push_back(child);
-      }
+    } else if (kind == 3) {  // a second holder of a live signature
+      const SeqId twin = live_src[rng() % live_src.size()];
+      const auto held = src.RegisteredPrefix(twin);
+      // Copied first: AddSequence may move the twin and its hashes.
+      const std::vector<std::uint64_t> hashes(held.begin(), held.end());
+      const SeqId id = next_id++;
+      if (!src.AddSequence(id, src.SequenceTokens(twin))) continue;
+      src.RegisterPrefix(id, hashes);
+      live_src.push_back(id);
     } else if (kind == 4) {  // migrate src -> dst
       const SeqId id = pick(live_src);
       const std::vector<std::uint64_t> before(src.RegisteredPrefix(id).begin(),

@@ -258,17 +258,41 @@ TEST(PrefixIndexTest, RegisterFreeDecrementsToZero) {
   EXPECT_EQ(pool.prefix_index().SharedPrefixBlocks(sig), 0u);
 }
 
-TEST(PrefixIndexTest, ForkSharesHashesUntilLastHolderFrees) {
+TEST(PrefixIndexTest, SharedHashesStayUntilLastHolderFrees) {
   KvBlockManager pool(64, 16);
   const std::uint64_t sig[] = {11, 22};
   ASSERT_TRUE(pool.AddSequence(1, 32));
+  ASSERT_TRUE(pool.AddSequence(2, 40));
   pool.RegisterPrefix(1, sig);
-  ASSERT_TRUE(pool.Fork(1, 2));
-  // Both holders reference the hashes; freeing the parent keeps them alive.
+  const std::uint64_t epoch = pool.prefix_index().epoch();
+  // A second holder of the same preamble adds no membership.
+  pool.RegisterPrefix(2, sig);
+  EXPECT_EQ(pool.prefix_index().epoch(), epoch);
+  EXPECT_EQ(pool.prefix_index().size(), 2u);
+  // Freeing the first holder keeps the hashes: the second still has them.
   pool.Free(1);
   EXPECT_EQ(pool.prefix_index().SharedPrefixBlocks(sig), 2u);
+  EXPECT_EQ(pool.prefix_index().epoch(), epoch);
   pool.Free(2);
   EXPECT_EQ(pool.prefix_index().size(), 0u);
+  EXPECT_EQ(pool.prefix_index().epoch(), epoch + 2);  // two hashes left
+}
+
+TEST(PrefixIndexTest, ExportOfOneHolderKeepsTheOthersHashes) {
+  KvBlockManager src(64, 16), dst(64, 16);
+  const std::uint64_t sig[] = {31, 32, 33};
+  const std::uint64_t head[] = {31};
+  ASSERT_TRUE(src.AddSequence(1, 48));
+  ASSERT_TRUE(src.AddSequence(2, 16));
+  src.RegisterPrefix(1, sig);
+  src.RegisterPrefix(2, head);  // holds only the first hash
+  const KvExport moved = src.Export(1);
+  EXPECT_EQ(moved.prefix_hashes, std::vector<std::uint64_t>(sig, sig + 3));
+  // The source keeps what sequence 2 still holds, and only that.
+  EXPECT_EQ(src.prefix_index().SharedPrefixBlocks(sig), 1u);
+  EXPECT_EQ(src.prefix_index().size(), 1u);
+  ASSERT_TRUE(dst.Import(moved));
+  EXPECT_EQ(dst.prefix_index().SharedPrefixBlocks(sig), 3u);
 }
 
 TEST(PrefixIndexTest, ExportImportMovesHashesBetweenPools) {
