@@ -107,7 +107,6 @@ FleetStats RunAutoscaled(const std::vector<serving::TimedRequest>& trace,
                          obs::TraceRecorder* recorder = nullptr,
                          obs::MetricsRegistry* metrics = nullptr) {
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
   autoscale.cooldown_seconds = 2.0;
   autoscale.tick_seconds = 0.5;  // the event-pump tick covers the tail
   autoscale.cost_aware = true;   // the pricier pool shrinks first

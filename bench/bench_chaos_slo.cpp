@@ -111,18 +111,24 @@ int main(int argc, char** argv) {
   Table signals("Autoscale signal under the same chaos (max 6 replicas)");
   signals.SetHeader({"signal", "p50 TTFT", "p99 TTFT", "p99 e2e", "completed",
                      "rejected", "lost", "wasted tok", "$/1Mtok"});
+  // One fleet-wide pool over the unified replicas, cloning their spec.
+  AutoscalePool queue_pool;
+  queue_pool.spec = Replica();
+  queue_pool.signal = AutoscaleSignal::kQueueDepth;
+  queue_pool.high = 6.0;
+  queue_pool.low = 0.25;
+  queue_pool.max_replicas = 6;
   AutoscaleConfig queue;
-  queue.enabled = true;
-  queue.signal = AutoscaleSignal::kQueueDepth;
-  queue.queue_high = 6.0;
-  queue.queue_low = 0.25;
-  queue.max_replicas = 6;
   queue.cooldown_seconds = 0.5;
+  queue.pools = {queue_pool};
+  AutoscalePool tail_pool = queue_pool;
+  tail_pool.signal = AutoscaleSignal::kTailTtft;
+  tail_pool.high = 1.0;
+  tail_pool.low = 0.02;
+  tail_pool.window_seconds = 5.0;
   AutoscaleConfig tail = queue;
-  tail.signal = AutoscaleSignal::kTailTtft;
-  tail.ttft_p99_high = 1.0;
-  tail.ttft_p99_low = 0.02;
-  tail.window_seconds = 5.0;
+  tail.window_seconds = 5.0;  // the fleet-wide p99 metric gauges
+  tail.pools = {tail_pool};
   AddChaosRow(signals, "none", open);
   const FleetStats by_queue = RunChaos(trace, SloConfig{}, queue);
   AddChaosRow(signals, "queue depth", by_queue);

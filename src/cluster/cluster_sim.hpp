@@ -6,10 +6,10 @@
 // places Poisson-trace arrivals.  Replicas with the same hardware, preset,
 // model and engine options price their steps through one shared
 // ServingEngine, so a fleet fills each cost table once.  Replicas can be added
-// or removed mid-run (an autoscaling hook does both automatically — either a
-// legacy fleet-wide signal, or role-typed pools with per-role signals, a
-// cost-aware $/1M-token shrink objective, and a periodic event-pump tick
-// that keeps evaluating through the post-arrival drain); removing a replica
+// or removed mid-run (an autoscaling hook does both automatically: role-typed
+// pools with per-pool signals, a cost-aware $/1M-token shrink objective, and
+// a periodic event-pump tick that keeps evaluating through the post-arrival
+// drain; a fleet-wide autoscaler is one kUnified pool); removing a replica
 // drains its unfinished requests and re-routes them.  Replicas can also be KILLED —
 // abrupt failure, no drain: in-flight work is lost and re-submitted from
 // scratch (under a RetryPolicy budget with exponential backoff), and SLO
@@ -102,45 +102,26 @@ struct AutoscalePool {
   std::size_t min_window_samples = 8;
 };
 
-/// Autoscaler: when the chosen signal crosses its high threshold, a replica
-/// (cloned from the first spec) is added; below the low threshold the
-/// least-loaded replica is drained and removed.
-///
-/// Two generations share this config.  The legacy single-pool fields below
-/// govern the whole fleet with one signal and clone the first added spec;
-/// with tick_seconds = 0 and defaults for the new knobs they reproduce the
-/// pre-pool golden scale sequences on the scenarios the goldens pin
-/// (undegraded, non-disagg fleets) — note the legacy path DID absorb this
-/// PR's bugfixes: the capacity-weighted kQueueDepth denominator, the
-/// work-observed + stabilization shrink gates, and the role-guarded
-/// migration-aware victim scan all apply to it too.  Populating `pools`
-/// switches to role-typed pools: per-pool signals and bounds, scale-up
-/// cloning the hot pool's spec, and (with `cost_aware`) a $/1M-token
-/// objective choosing which pool shrinks.  One cooldown paces the whole
-/// autoscaler either way, and scale-down additionally requires the fleet to
-/// have observed at least one completion or handoff (an empty queue on a
-/// cold fleet is absence of data, not idleness).
+/// Autoscaler: each pool whose signal crosses its high threshold (or that
+/// sits below its min_replicas) grows by a clone of its spec; a pool whose
+/// signal stays below its low threshold drains and removes its least-loaded
+/// replica.  Autoscaling is on exactly when `pools` is non-empty; a
+/// fleet-wide autoscaler is one kUnified pool whose spec is the replica spec
+/// the fleet was built from.  One cooldown paces the whole autoscaler, at
+/// most one scale event fires per evaluation, and scale-down additionally
+/// requires the fleet to have observed at least one completion or handoff
+/// (an empty queue on a cold fleet is absence of data, not idleness).
 struct AutoscaleConfig {
-  bool enabled = false;
-  AutoscaleSignal signal = AutoscaleSignal::kQueueDepth;
-  double queue_high = 8.0;
-  double queue_low = 0.5;
-  std::size_t min_replicas = 1;
-  std::size_t max_replicas = 16;
   double cooldown_seconds = 2.0;  ///< minimum time between scale events
-
-  // kTailTtft knobs: windowed p99 of observed TTFTs, in seconds.  The signal
-  // abstains (no scaling either way) until the window holds enough samples.
-  double ttft_p99_high = 2.0;
-  double ttft_p99_low = 0.25;
+  /// Window of the fleet-wide ttft_p99_window / tpot_p99_window metric
+  /// gauges (each pool's signal windows use AutoscalePool::window_seconds).
   double window_seconds = 10.0;
-  std::size_t min_window_samples = 8;
 
-  /// Role-typed pools (empty = legacy single-pool behavior above).
+  /// Role-typed pools; empty disables autoscaling.
   std::vector<AutoscalePool> pools;
 
-  /// Event-pump evaluation period.  0 preserves the legacy arrival-driven
-  /// autoscaler (evaluated only when a request arrives — and therefore blind
+  /// Event-pump evaluation period.  0 keeps the arrival-driven autoscaler
+  /// (evaluated only when a request arrives — and therefore blind
   /// to the post-burst drain tail).  > 0 arms a periodic tick in the event
   /// pump: the autoscaler also runs between arrivals and through the drain
   /// to quiescence, so an idle fleet scales back to its minimum instead of
@@ -150,7 +131,7 @@ struct AutoscaleConfig {
   /// minimum first), and re-arms on new work.
   double tick_seconds = 0;
 
-  /// Cost-aware objective (pools mode): when several pools signal
+  /// Cost-aware objective: when several pools signal
   /// scale-down in the same evaluation, retire capacity from the most
   /// expensive pool first — the biggest cut to predicted $/1M tokens per
   /// event.  Scale-ups stay SLO-driven.
@@ -171,7 +152,7 @@ struct AutoscaleConfig {
   /// evaluation in the window read low), so a momentarily empty queue
   /// between Poisson gaps doesn't retire capacity the next burst instant
   /// needs back.  Time-based on purpose — an eval count would collapse to
-  /// nothing at burst arrival rates.  0 = legacy immediate shrink.
+  /// nothing at burst arrival rates.  0 = immediate shrink.
   double shrink_stable_seconds = 0;
 };
 
@@ -278,8 +259,8 @@ class ClusterSimulator {
   }
 
  private:
-  /// Sentinel pool index: the replica belongs to no autoscale pool (legacy
-  /// single-pool mode, or a spec no configured pool's role matches).
+  /// Sentinel pool index: the replica's role matches no configured pool
+  /// (always the case with autoscaling off).
   static constexpr std::size_t kNoPool = static_cast<std::size_t>(-1);
 
   struct Replica {
@@ -361,19 +342,18 @@ class ClusterSimulator {
   /// path when the target died mid-transfer.
   void LandMigrationsThrough(double deadline);
   void ReleaseRetriesThrough(double deadline);
-  void MaybeAutoscale(double now);
-  /// Role-typed pools evaluation: per-pool signals, at most one scale event
+  /// One autoscaler evaluation: per-pool signals, at most one scale event
   /// per call (the shared cooldown paces the loop), SLO-driven growth
   /// outranking cost-driven shrink.
-  void AutoscalePools(double now);
+  void MaybeAutoscale(double now);
   [[nodiscard]] PoolSignal EvalPool(std::size_t pool, double now);
   /// First configured pool whose role matches, else kNoPool.
   [[nodiscard]] std::size_t PoolFor(ReplicaRole role) const;
-  /// Least-outstanding active replica of `pool` (kNoPool = whole fleet) that
-  /// is safe to retire: never the last active replica of a specialized role,
-  /// and replicas with KV imports in flight are passed over while a quieter
-  /// victim exists (retiring them would force the coordinator to re-plan
-  /// transfers RemoveReplica can otherwise leave alone).
+  /// Least-outstanding active replica of `pool` that is safe to retire:
+  /// never the last active replica of a specialized role, and replicas with
+  /// KV imports in flight are passed over while a quieter victim exists
+  /// (retiring them would force the coordinator to re-plan transfers
+  /// RemoveReplica can otherwise leave alone).
   [[nodiscard]] std::size_t PickScaleDownVictim(std::size_t pool) const;
   [[nodiscard]] bool LastActiveOfRole(const Replica& replica) const;
   void CommitScaleUp(std::size_t pool, const ReplicaSpec& spec, double now,
@@ -434,8 +414,6 @@ class ClusterSimulator {
   /// options) added so far, in first-use order.  A replica whose spec
   /// matches an earlier one shares that engine and its warm cost tables.
   std::vector<std::shared_ptr<const serving::ServingEngine>> engines_;
-  /// First added spec.
-  std::optional<ReplicaSpec> autoscale_spec_;
   /// Counters accumulated during the run.
   FleetStats tally_;
   double last_scale_event_ = -1e300;
@@ -454,9 +432,10 @@ class ClusterSimulator {
   std::unordered_set<std::uint64_t> migrated_ids_;
   /// Visible stalls, sample pool.
   std::vector<double> migration_seconds_;
+  /// Fleet-wide TTFT/TPOT windows behind the ttft_p99_window /
+  /// tpot_p99_window metric gauges; nothing that steers the simulation reads
+  /// them (pool signals read their own PoolRuntime windows).
   SlidingWindowStats ttft_window_;
-  /// Passive fleet-wide TPOT window behind the metrics gauge; fed alongside
-  /// ttft_window_ but read by nothing that steers the simulation.
   SlidingWindowStats tpot_window_;
   /// Per-pool signal windows, parallel to autoscale_.pools.
   std::vector<PoolRuntime> pool_runtime_;
@@ -470,9 +449,6 @@ class ClusterSimulator {
   /// Scale-down requires this evidence: a cold fleet with an empty queue is
   /// unprovisioned, not overprovisioned.
   bool work_observed_ = false;
-  /// Legacy-path downscale-stabilization state (pools keep theirs in
-  /// PoolRuntime); < 0 = not currently reading low.
-  double legacy_low_since_ = -1;
   /// A stabilizing shrink is waiting out its window; keeps the periodic
   /// tick armed through an otherwise idle fleet so the shrink can land.
   bool shrink_pending_ = false;

@@ -8,18 +8,7 @@
 
 namespace liquid::obs {
 
-std::atomic<bool> WallProfiler::enabled_{false};
-
-namespace {
-
-// Per-thread cursor into that thread's tree.  `tls_generation` detects a
-// Reset() issued (from any thread) since this thread last recorded: the old
-// root is gone, so the thread re-roots itself lazily on its next Enter.
-std::atomic<std::uint64_t> g_generation{1};
-thread_local ProfNode* tls_cursor = nullptr;
-thread_local std::uint64_t tls_generation = 0;
-
-}  // namespace
+bool WallProfiler::enabled_ = false;
 
 WallProfiler& WallProfiler::Instance() {
   static WallProfiler instance;
@@ -27,24 +16,13 @@ WallProfiler& WallProfiler::Instance() {
 }
 
 void WallProfiler::Reset() {
-  util::MutexLock lock(mu_);
-  roots_.clear();
-  g_generation.fetch_add(1, std::memory_order_relaxed);
+  root_.children.clear();
+  cursor_ = &root_;
 }
 
 void WallProfiler::Enter(const char* name) {
-  if (tls_cursor == nullptr ||
-      tls_generation != g_generation.load(std::memory_order_relaxed)) {
-    auto root = std::make_unique<ProfNode>();
-    root->name = "<thread>";
-    tls_cursor = root.get();
-    tls_generation = g_generation.load(std::memory_order_relaxed);
-    util::MutexLock lock(mu_);
-    roots_.push_back(std::move(root));
-  }
-  ProfNode* parent = tls_cursor;
   ProfNode* child = nullptr;
-  for (const auto& c : parent->children) {
+  for (const auto& c : cursor_->children) {
     // Same string literal first (the common case: one macro site), spelled
     // twice (e.g. two TUs) second.
     if (c->name == name || std::strcmp(c->name, name) == 0) {
@@ -55,24 +33,21 @@ void WallProfiler::Enter(const char* name) {
   if (child == nullptr) {
     auto owned = std::make_unique<ProfNode>();
     owned->name = name;
-    owned->parent = parent;
+    owned->parent = cursor_;
     child = owned.get();
-    // Child insertion mutates a tree that an exporter on another thread may
-    // be walking; exports take the same lock.
-    util::MutexLock lock(mu_);
-    parent->children.push_back(std::move(owned));
+    cursor_->children.push_back(std::move(owned));
   }
   ++child->count;
-  tls_cursor = child;
+  cursor_ = child;
 }
 
 void WallProfiler::Leave(std::uint64_t elapsed_ns) {
-  if (tls_cursor == nullptr || tls_cursor->parent == nullptr) return;
-  tls_cursor->total_ns += elapsed_ns;
-  tls_cursor = tls_cursor->parent;
+  if (cursor_->parent == nullptr) return;
+  cursor_->total_ns += elapsed_ns;
+  cursor_ = cursor_->parent;
 }
 
-// --- export: merge thread trees into one strcmp-ordered tree -----------------
+// --- export: fold the tree into strcmp order ---------------------------------
 
 struct WallProfiler::Merged {
   std::uint64_t count = 0;
@@ -98,15 +73,9 @@ void FoldInto(const ProfNode& src, WallProfiler::Merged& dst) {
 
 }  // namespace
 
-WallProfiler::Merged WallProfiler::MergeThreads() const {
+WallProfiler::Merged WallProfiler::Fold() const {
   Merged root;
-  util::MutexLock lock(mu_);
-  for (const auto& thread_root : roots_) {
-    for (const auto& c : thread_root->children) {
-      FoldInto(*c, root.children[c->name]);
-    }
-    root.count += 1;  // repurposed: thread count at the synthetic root
-  }
+  for (const auto& c : root_.children) FoldInto(*c, root.children[c->name]);
   for (const auto& [_, c] : root.children) root.total_ns += c.total_ns;
   return root;
 }
@@ -195,8 +164,8 @@ struct SpeedscopeState {
 }  // namespace
 
 std::string WallProfiler::TextSummary(bool include_times) const {
-  const Merged root = MergeThreads();
-  std::string out = "wall-profile threads=" + std::to_string(root.count);
+  const Merged root = Fold();
+  std::string out = "wall-profile";
   if (include_times) {
     out += " total_ms=";
     AppendMs(out, root.total_ns);
@@ -209,7 +178,7 @@ std::string WallProfiler::TextSummary(bool include_times) const {
 }
 
 std::string WallProfiler::Csv(bool include_times) const {
-  const Merged root = MergeThreads();
+  const Merged root = Fold();
   std::string out =
       include_times ? "path,count,total_ns,self_ns\n" : "path,count\n";
   for (const auto& [name, child] : root.children) {
@@ -219,7 +188,7 @@ std::string WallProfiler::Csv(bool include_times) const {
 }
 
 std::string WallProfiler::CollapsedStacks() const {
-  const Merged root = MergeThreads();
+  const Merged root = Fold();
   std::string out;
   for (const auto& [name, child] : root.children) {
     FoldedNode(child, name, out);
@@ -228,7 +197,7 @@ std::string WallProfiler::CollapsedStacks() const {
 }
 
 std::string WallProfiler::SpeedscopeJson() const {
-  const Merged root = MergeThreads();
+  const Merged root = Fold();
   SpeedscopeState state;
   std::vector<std::size_t> stack;
   for (const auto& [name, child] : root.children) {

@@ -1,12 +1,17 @@
 // Wall-clock scope profiler for the simulator's own host cost.
 //
-// PR 6's telemetry observes the *simulated* clock; this observes the
+// The trace recorder observes the *simulated* clock; this observes the
 // *wall* clock the simulator burns advancing it.  `LIQUID_PROF_SCOPE("name")`
-// drops a RAII timer that accumulates (count, total wall ns) into a
-// per-thread hierarchical scope tree; exporters merge the thread trees and
-// emit a deterministic-ordering text/CSV summary, collapsed stacks for
+// drops a RAII timer that accumulates (count, total wall ns) into one
+// hierarchical scope tree; exporters fold it into strcmp order and emit a
+// deterministic-ordering text/CSV summary, collapsed stacks for
 // flamegraph.pl / speedscope "folded" import, and a native speedscope JSON
 // profile.
+//
+// One tree, one cursor: every scope must open and close on the thread that
+// drives the simulation.  The profiler takes no lock, so a
+// `LIQUID_PROF_SCOPE` inside an OpenMP region (or any other worker thread)
+// is a bug — it would race on the cursor and corrupt the tree.
 //
 // Cost model, so it can live on hot paths:
 //   - Build-time: `-DLIQUID_PROFILE=OFF` (CMake option) compiles the macro to
@@ -15,7 +20,7 @@
 //     this header to override the build-wide default (the compile-out test
 //     uses this to prove emptiness inside a LIQUID_PROFILE=ON build).
 //   - Run-time: scopes are inert until `WallProfiler::Enable()` — the macro's
-//     constructor is one relaxed atomic load and a branch when disabled, so
+//     constructor is one load of a plain flag and a branch when disabled, so
 //     default runs (and both arms of the telemetry-overhead A/B gate) pay the
 //     same negligible cost.
 //
@@ -27,13 +32,11 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "util/thread_annotations.hpp"
 #include "util/wall_timer.hpp"
 
 #if !defined(LIQUID_PROF_ENABLED)
@@ -46,7 +49,7 @@
 
 namespace liquid::obs {
 
-/// One scope in a thread's tree.  `name` must be a string with static
+/// One scope in the profiler's tree.  `name` must be a string with static
 /// storage duration (the tree stores the pointer, not a copy); child lookup
 /// compares pointers first and falls back to strcmp so the same literal
 /// spelled in two TUs still merges.
@@ -62,19 +65,19 @@ class WallProfiler {
  public:
   /// Process-wide singleton (scope macros need a zero-argument path).
   static WallProfiler& Instance();
+  WallProfiler() = default;
+  // cursor_ points into root_, so a copy or move would dangle.
+  WallProfiler(const WallProfiler&) = delete;
+  WallProfiler& operator=(const WallProfiler&) = delete;
 
   /// Runtime master switch for the macros.  Off by default: binaries opt in
-  /// (e.g. when `--profile-out` is passed).  Relaxed is enough — scopes on
-  /// the same thread see their own Enable, and cross-thread enable races
-  /// only blur the first few samples.
-  [[nodiscard]] static bool Enabled() {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  static void Enable() { enabled_.store(true, std::memory_order_relaxed); }
-  static void Disable() { enabled_.store(false, std::memory_order_relaxed); }
+  /// (e.g. when `--profile-out` is passed).
+  [[nodiscard]] static bool Enabled() { return enabled_; }
+  static void Enable() { enabled_ = true; }
+  static void Disable() { enabled_ = false; }
 
-  /// Drops all recorded trees.  Only call while no scope is active on any
-  /// thread (live cursors into the dropped nodes would dangle).
+  /// Drops the recorded tree.  Only call while no scope is open (a live
+  /// scope's node would be dropped under it).
   void Reset();
 
   /// Manual scope API — what the macro-generated RAII objects call, public
@@ -88,7 +91,7 @@ class WallProfiler {
   [[nodiscard]] std::string TextSummary(bool include_times = true) const;
 
   /// `path,count[,total_ns,self_ns]` rows, DFS over the strcmp-ordered
-  /// merged tree; `path` is '/'-joined.
+  /// tree; `path` is '/'-joined.
   [[nodiscard]] std::string Csv(bool include_times = true) const;
 
   /// Brendan-Gregg folded stacks: `a;b;c <self_ns>` per node, suitable for
@@ -99,23 +102,19 @@ class WallProfiler {
   /// scope path, weight = self ns).
   [[nodiscard]] std::string SpeedscopeJson() const;
 
-  /// Merged (cross-thread, strcmp-ordered) view; defined in the .cpp and
-  /// public only so exporter helpers can name it.
+  /// strcmp-ordered view of the tree; defined in the .cpp and public only
+  /// so exporter helpers can name it.
   struct Merged;
 
  private:
-  [[nodiscard]] Merged MergeThreads() const LIQUID_EXCLUDES(mu_);
+  /// Folds the tree into strcmp order (first-entry order is for Enter's
+  /// lookup; exports need a deterministic order).
+  [[nodiscard]] Merged Fold() const;
 
-  static std::atomic<bool> enabled_;
+  static bool enabled_;
 
-  // mu_ guards the roots_ vector itself (thread registration and export
-  // walks).  Node *contents* (count/total_ns) are only written by the owning
-  // thread through its thread-local cursor; exporters read them under mu_,
-  // which excludes the only structural mutation (child insertion, also
-  // taken under mu_ in Enter).
-  mutable util::Mutex mu_;
-  std::vector<std::unique_ptr<ProfNode>> roots_
-      LIQUID_GUARDED_BY(mu_);  // one per observed thread
+  ProfNode root_;               ///< synthetic root; its children are scopes
+  ProfNode* cursor_ = &root_;   ///< innermost open scope (root_ when none)
 };
 
 /// RAII timer the LIQUID_PROF_SCOPE macro expands to.  Checks the runtime

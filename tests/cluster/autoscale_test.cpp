@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -69,15 +70,17 @@ void ExpectConservation(const FleetStats& s) {
 // --- Bugfix 1: the autoscaler only woke on arrivals -------------------------
 
 AutoscaleConfig DrainTailConfig(double tick_seconds) {
+  AutoscalePool pool;
+  pool.spec = Spec(ReplicaRole::kUnified);
+  pool.signal = AutoscaleSignal::kQueueDepth;
+  pool.high = 4.0;
+  pool.low = 0.5;
+  pool.min_replicas = 1;
+  pool.max_replicas = 6;
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
-  autoscale.signal = AutoscaleSignal::kQueueDepth;
-  autoscale.queue_high = 4.0;
-  autoscale.queue_low = 0.5;
-  autoscale.min_replicas = 1;
-  autoscale.max_replicas = 6;
   autoscale.cooldown_seconds = 0.05;
   autoscale.tick_seconds = tick_seconds;
+  autoscale.pools = {pool};
   return autoscale;
 }
 
@@ -127,13 +130,15 @@ TEST(AutoscaleTest, AbstainingWindowedSignalCannotWedgeTheTickLoop) {
   // min_window_samples) used to leave the pending flag stuck, so the
   // periodic tick never disarmed and Run() span forever.  Terminating at
   // all is the assertion.
+  AutoscalePool pool;
+  pool.spec = Spec(ReplicaRole::kUnified);
+  pool.signal = AutoscaleSignal::kTailTtft;
+  pool.high = 1e9;
+  pool.low = 10.0;  // everything reads "low": shrink desired
+  pool.window_seconds = 2.0;
+  pool.min_window_samples = 2;
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
-  autoscale.signal = AutoscaleSignal::kTailTtft;
-  autoscale.ttft_p99_high = 1e9;
-  autoscale.ttft_p99_low = 10.0;  // everything reads "low": shrink desired
-  autoscale.window_seconds = 2.0;
-  autoscale.min_window_samples = 2;
+  autoscale.pools = {pool};
   autoscale.cooldown_seconds = 0.1;
   autoscale.tick_seconds = 0.25;
   autoscale.shrink_stable_seconds = 30.0;  // longer than the window drains
@@ -146,11 +151,53 @@ TEST(AutoscaleTest, AbstainingWindowedSignalCannotWedgeTheTickLoop) {
   EXPECT_EQ(stats.replicas_final, 2u);
 }
 
+TEST(AutoscaleTest, UnifiedPoolRegrowsAfterEveryReplicaIsKilled) {
+  // A fleet-wide pool below min_replicas grows regardless of its signal —
+  // including from zero, after every replica it governed has died.
+  AutoscalePool pool;
+  pool.spec = Spec(ReplicaRole::kUnified);
+  pool.high = 1e9;  // the signal never asks for anything: only the min does
+  pool.low = -1.0;
+  pool.min_replicas = 2;
+  pool.max_replicas = 4;
+  AutoscaleConfig autoscale;
+  autoscale.cooldown_seconds = 0;
+  autoscale.pools = {pool};
+  ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale);
+  sim.AddReplica(Spec(ReplicaRole::kUnified));
+  sim.AddReplica(Spec(ReplicaRole::kUnified));
+  const std::vector<TimedRequest> trace = Burst(60, /*seed=*/17, /*rate=*/20.0);
+  const double kill_at = trace[trace.size() / 3].arrival_seconds;
+  sim.ScheduleKill({kill_at, /*replica=*/0});
+  sim.ScheduleKill({kill_at, /*replica=*/1});
+  const FleetStats stats = sim.Run(trace);
+
+  ExpectConservation(stats);
+  EXPECT_EQ(stats.killed_replicas, 2u);
+  EXPECT_EQ(stats.scale_ups, 2u);
+  for (const ScaleEvent& e : stats.scale_events) {
+    EXPECT_TRUE(e.up);
+    EXPECT_GE(e.time, kill_at);
+  }
+  EXPECT_EQ(stats.replicas_final, 2u);  // back to min_replicas
+  // The arrivals after the kills complete on the regrown replicas.
+  ASSERT_EQ(stats.replicas.size(), 4u);
+  std::size_t regrown_completed = 0;
+  for (std::size_t id = 2; id < 4; ++id) {
+    EXPECT_TRUE(stats.replicas[id].active);
+    regrown_completed += stats.replicas[id].stats.completed;
+  }
+  EXPECT_GE(regrown_completed,
+            static_cast<std::size_t>(std::count_if(
+                trace.begin(), trace.end(), [&](const TimedRequest& r) {
+                  return r.arrival_seconds > kill_at;
+                })));
+}
+
 // --- Bugfix 2: role-blind scale-up / scale-down -----------------------------
 
 TEST(AutoscaleTest, DecodeBoundFleetGrowsDecodePoolNotFirstSpec) {
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
   autoscale.cooldown_seconds = 0.05;
   autoscale.tick_seconds = 0.1;
   AutoscalePool prefill_pool;
@@ -211,7 +258,6 @@ TEST(AutoscaleTest, DecodeBoundFleetGrowsDecodePoolNotFirstSpec) {
 
 TEST(AutoscaleTest, VictimScanNeverRetiresLastReplicaOfARole) {
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
   autoscale.cooldown_seconds = 0.05;
   autoscale.tick_seconds = 0.2;
   AutoscalePool prefill_pool;
@@ -246,7 +292,6 @@ TEST(AutoscaleTest, VictimScanNeverRetiresLastReplicaOfARole) {
 
 TEST(AutoscaleTest, CostAwareShrinkRetiresTheExpensivePoolFirst) {
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
   autoscale.cooldown_seconds = 0.05;
   autoscale.tick_seconds = 0.2;
   autoscale.cost_aware = true;
@@ -289,15 +334,17 @@ TEST(AutoscaleTest, CostAwareShrinkRetiresTheExpensivePoolFirst) {
 
 TEST(AutoscaleTest, DegradedReplicaCountsAsFractionalCapacity) {
   const auto run = [](bool degrade) {
-    AutoscaleConfig autoscale;
-    autoscale.enabled = true;
-    autoscale.signal = AutoscaleSignal::kQueueDepth;
+    AutoscalePool pool;
+    pool.spec = Spec(ReplicaRole::kUnified);
+    pool.signal = AutoscaleSignal::kQueueDepth;
     // Raw mean over 2 replicas peaks at 12/2 = 6 < 8; effective-capacity
     // mean with one replica degraded 8x peaks at 12/1.125 ≈ 10.7 > 8.
-    autoscale.queue_high = 8.0;
-    autoscale.queue_low = -1.0;
-    autoscale.max_replicas = 4;
+    pool.high = 8.0;
+    pool.low = -1.0;
+    pool.max_replicas = 4;
+    AutoscaleConfig autoscale;
     autoscale.cooldown_seconds = 0.01;
+    autoscale.pools = {pool};
     ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale);
     sim.AddReplica(Spec(ReplicaRole::kUnified));
     sim.AddReplica(Spec(ReplicaRole::kUnified));
@@ -319,7 +366,6 @@ TEST(AutoscaleTest, DegradedReplicaCountsAsFractionalCapacity) {
 
 TEST(AutoscaleTest, FreeKvPressureGrowsDecodePool) {
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
   autoscale.cooldown_seconds = 0.05;
   autoscale.tick_seconds = 0.1;
   AutoscalePool prefill_pool;
@@ -362,7 +408,6 @@ TEST(AutoscaleTest, FreeKvPressureGrowsDecodePool) {
 
 FleetStats RunCanonicalAutoscaleChaos() {
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
   autoscale.cooldown_seconds = 0.25;
   autoscale.tick_seconds = 0.2;
   autoscale.cost_aware = true;
@@ -442,7 +487,6 @@ TEST(AutoscaleTest, ConservationHoldsAcrossAutoscaleChaosSeeds) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
     AutoscaleConfig autoscale;
-    autoscale.enabled = true;
     autoscale.cooldown_seconds = rng.Uniform(0.05, 0.5);
     autoscale.tick_seconds = rng.Uniform(0.1, 0.5);
     autoscale.cost_aware = rng.NextDouble() < 0.5;

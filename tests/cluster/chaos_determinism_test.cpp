@@ -28,16 +28,18 @@ ReplicaSpec CanonicalReplica() {
 /// The canonical chaos episode: 3 replicas, 2× overload-ish trace, one kill
 /// mid-run and one late, tail-latency autoscaling, and a tight TTFT SLO.
 FleetStats RunCanonicalChaos() {
+  AutoscalePool pool;  // one fleet-wide pool over the unified replicas
+  pool.spec = CanonicalReplica();
+  pool.signal = AutoscaleSignal::kTailTtft;
+  pool.high = 1.0;
+  pool.low = 0.001;  // effectively never scale down: the kills are this
+                     // episode's shrink events
+  pool.window_seconds = 5.0;
+  pool.min_window_samples = 8;
+  pool.max_replicas = 5;
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
-  autoscale.signal = AutoscaleSignal::kTailTtft;
-  autoscale.ttft_p99_high = 1.0;
-  autoscale.ttft_p99_low = 0.001;  // effectively never scale down: the kills
-                                   // are this episode's shrink events
-  autoscale.window_seconds = 5.0;
-  autoscale.min_window_samples = 8;
-  autoscale.max_replicas = 5;
   autoscale.cooldown_seconds = 0.5;
+  autoscale.pools = {pool};
   SloConfig slo;
   slo.ttft_budget = 2.0;
   slo.reject_above = 1.0;

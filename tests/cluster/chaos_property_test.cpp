@@ -52,18 +52,25 @@ ChaosScenario RandomScenario(std::uint64_t seed) {
   s.replicas = 2 + static_cast<std::size_t>(rng.Below(3));  // 2..4
   s.pool_blocks = 64 + static_cast<std::size_t>(rng.Below(3)) * 64;
 
-  // Half the scenarios autoscale, split between the two signals.
+  // Half the scenarios autoscale with one fleet-wide pool, split between
+  // the two signals.  Both signals' thresholds are drawn either way, so the
+  // rng stream (and with it the trace and kills) does not depend on the pick.
   if (rng.NextDouble() < 0.5) {
-    s.autoscale.enabled = true;
-    s.autoscale.signal = rng.NextDouble() < 0.5 ? AutoscaleSignal::kQueueDepth
-                                                : AutoscaleSignal::kTailTtft;
-    s.autoscale.queue_high = rng.Uniform(3.0, 10.0);
-    s.autoscale.queue_low = rng.Uniform(0.1, 1.0);
-    s.autoscale.ttft_p99_high = rng.Uniform(0.5, 3.0);
-    s.autoscale.ttft_p99_low = rng.Uniform(0.01, 0.2);
-    s.autoscale.window_seconds = rng.Uniform(2.0, 15.0);
-    s.autoscale.max_replicas = 6;
+    AutoscalePool pool;
+    pool.spec = ChaosReplica(s.pool_blocks);
+    pool.signal = rng.NextDouble() < 0.5 ? AutoscaleSignal::kQueueDepth
+                                         : AutoscaleSignal::kTailTtft;
+    const double queue_high = rng.Uniform(3.0, 10.0);
+    const double queue_low = rng.Uniform(0.1, 1.0);
+    const double ttft_high = rng.Uniform(0.5, 3.0);
+    const double ttft_low = rng.Uniform(0.01, 0.2);
+    const bool by_queue = pool.signal == AutoscaleSignal::kQueueDepth;
+    pool.high = by_queue ? queue_high : ttft_high;
+    pool.low = by_queue ? queue_low : ttft_low;
+    pool.window_seconds = rng.Uniform(2.0, 15.0);
+    pool.max_replicas = 6;
     s.autoscale.cooldown_seconds = rng.Uniform(0.0, 1.0);
+    s.autoscale.pools = {pool};
   }
   // Half run SLO admission control with a budget tight enough to trip.
   if (rng.NextDouble() < 0.5) {

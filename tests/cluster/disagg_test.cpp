@@ -171,13 +171,16 @@ TEST(DisaggTest, GracefulScaleDownLosesNothingMidMigration) {
   // Aggressive queue-depth scale-down shrinks the fleet while transfers are
   // in flight; graceful removal must re-plan inbound migrations (or decode
   // locally at the source), never spend them as losses or retries.
+  AutoscalePool decode_pool;  // governs the three decode replicas
+  decode_pool.role = ReplicaRole::kDecode;
+  decode_pool.spec = DisaggReplica(ReplicaRole::kDecode, 2048);
+  decode_pool.signal = AutoscaleSignal::kQueueDepth;
+  decode_pool.high = 1e9;  // never scale up
+  decode_pool.low = 2.0;   // shed replicas eagerly
+  decode_pool.min_replicas = 1;
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
-  autoscale.signal = AutoscaleSignal::kQueueDepth;
-  autoscale.queue_high = 1e9;  // never scale up
-  autoscale.queue_low = 2.0;   // shed replicas eagerly
-  autoscale.min_replicas = 2;
   autoscale.cooldown_seconds = 0.1;
+  autoscale.pools = {decode_pool};
   DisaggConfig disagg;
   disagg.interconnect.bandwidth_gb_per_s = 2.0;  // transfers visibly fly
   disagg.interconnect.prefill_overlap = 0;

@@ -52,7 +52,6 @@ ReplicaSpec CanonicalReplica(ReplicaRole role) {
 FleetStats RunCanonicalEpisode(obs::TraceRecorder* recorder,
                                obs::MetricsRegistry* metrics) {
   AutoscaleConfig autoscale;
-  autoscale.enabled = true;
   autoscale.cooldown_seconds = 2.0;
   autoscale.tick_seconds = 0.5;
   autoscale.cost_aware = true;

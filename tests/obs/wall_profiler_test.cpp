@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 
 #include "obs/prof/wall_profiler.hpp"
 #include "util/json.hpp"
@@ -41,7 +40,7 @@ TEST(WallProfilerTest, TextSummaryCountsGolden) {
   BuildCanonicalTree(prof);
   // Children print in byte-wise name order ('r' < 's'), not entry order.
   EXPECT_EQ(prof.TextSummary(/*include_times=*/false),
-            "wall-profile threads=1\n"
+            "wall-profile\n"
             "  sim/run  count=1\n"
             "    router/route_one  count=3\n"
             "    sim/events  count=2\n"
@@ -55,7 +54,7 @@ TEST(WallProfilerTest, TextSummaryWithInjectedTimes) {
   // Injected durations make even the timed columns deterministic.
   // self(sim/run) = 100us - 30us - 50us = 20us.
   EXPECT_EQ(prof.TextSummary(),
-            "wall-profile threads=1 total_ms=0.100\n"
+            "wall-profile total_ms=0.100\n"
             "  sim/run  count=1 total_ms=0.100 self_ms=0.020\n"
             "    router/route_one  count=3 total_ms=0.030 self_ms=0.030\n"
             "    sim/events  count=2 total_ms=0.050 self_ms=0.030\n"
@@ -130,24 +129,9 @@ TEST(WallProfilerTest, ResetDropsEverything) {
   BuildCanonicalTree(prof);
   prof.Reset();
   EXPECT_EQ(prof.TextSummary(/*include_times=*/false),
-            "wall-profile threads=0\n");
+            "wall-profile\n");
   EXPECT_EQ(prof.Csv(/*include_times=*/false), "path,count\n");
   EXPECT_EQ(prof.CollapsedStacks(), "");
-}
-
-TEST(WallProfilerTest, MergesThreadTreesByName) {
-  WallProfiler& prof = WallProfiler::Instance();
-  prof.Reset();
-  BuildCanonicalTree(prof);
-  std::thread other([&prof] { BuildCanonicalTree(prof); });
-  other.join();
-  // Same scope names from two threads fold into one tree, counts summed.
-  EXPECT_EQ(prof.TextSummary(/*include_times=*/false),
-            "wall-profile threads=2\n"
-            "  sim/run  count=2\n"
-            "    router/route_one  count=6\n"
-            "    sim/events  count=4\n"
-            "      sim/events/tick  count=4\n");
 }
 
 TEST(WallProfilerTest, DisabledScopeRecordsNothing) {
@@ -156,7 +140,7 @@ TEST(WallProfilerTest, DisabledScopeRecordsNothing) {
   WallProfiler::Disable();
   { WallProfileScope scope("never"); }
   EXPECT_EQ(prof.TextSummary(/*include_times=*/false),
-            "wall-profile threads=0\n");
+            "wall-profile\n");
 }
 
 TEST(WallProfilerTest, EnabledScopeRecordsRealTime) {
