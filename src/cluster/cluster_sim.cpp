@@ -317,6 +317,10 @@ bool ClusterSimulator::KillReplica(std::size_t id, double now) {
                     static_cast<double>(forfeit.requests.size()));
   }
 
+  // With no replica left, the retries below would route into an empty fleet
+  // and drop: let min-replica enforcement regrow a replica first.
+  if (ActiveReplicas() == 0) MaybeAutoscale(now);
+
   // Re-route storm: every lost request is re-submitted from scratch.  The
   // original TimedRequest (session/tenant intact) is replayed with its
   // original arrival time, so a retry's TTFT charges the failed attempt;
@@ -406,12 +410,16 @@ void ClusterSimulator::HarvestCompletions() {
     for (; r.harvested < done.size(); ++r.harvested) {
       const serving::RequestTiming& t = done[r.harvested];
       work_observed_ = true;
-      ttft_window_.Add(t.finish, t.Ttft());
-      tokens_window_.Add(t.finish, static_cast<double>(t.generated));
-      if (t.generated > 1) tpot_window_.Add(t.finish, t.Tpot());
+      // The fleet-wide windows are fed only for their readers: the metric
+      // gauges (all three) and the autoscaler's cost check (tokens).
       if (metrics_ != nullptr) {
+        ttft_window_.Add(t.finish, t.Ttft());
+        if (t.generated > 1) tpot_window_.Add(t.finish, t.Tpot());
         ttft_hist_->Add(t.Ttft());
         if (t.generated > 1) tpot_hist_->Add(t.Tpot());
+      }
+      if (metrics_ != nullptr || !autoscale_.pools.empty()) {
+        tokens_window_.Add(t.finish, static_cast<double>(t.generated));
       }
       if (r.pool != kNoPool) {
         // Role-typed pools watch their own streams: the TTFT window feeds

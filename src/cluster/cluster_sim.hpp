@@ -433,14 +433,16 @@ class ClusterSimulator {
   /// Visible stalls, sample pool.
   std::vector<double> migration_seconds_;
   /// Fleet-wide TTFT/TPOT windows behind the ttft_p99_window /
-  /// tpot_p99_window metric gauges; nothing that steers the simulation reads
-  /// them (pool signals read their own PoolRuntime windows).
+  /// tpot_p99_window metric gauges, fed only while metrics are attached;
+  /// nothing that steers the simulation reads them (pool signals read their
+  /// own PoolRuntime windows).
   SlidingWindowStats ttft_window_;
   SlidingWindowStats tpot_window_;
   /// Per-pool signal windows, parallel to autoscale_.pools.
   std::vector<PoolRuntime> pool_runtime_;
   /// Recent generated-token samples (finish, tokens) behind the cost-aware
-  /// $/1M-token predictions.
+  /// $/1M-token predictions and the tokens_per_s_window gauge, fed only
+  /// when autoscale pools or metrics are there to read them.
   SlidingWindowStats tokens_window_;
   /// Periodic autoscale tick state (armed only when tick_seconds > 0).
   bool tick_armed_ = false;

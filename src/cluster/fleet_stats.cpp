@@ -10,10 +10,15 @@
 namespace liquid::cluster {
 
 PercentileTriple SummarizePercentiles(std::span<const double> values) {
+  // One copy; p99 first, then p95 and p50 select below it.
+  std::vector<double> scratch(values.begin(), values.end());
+  static constexpr double kRanks[] = {99, 95, 50};
+  double out[3];
+  PercentilesInPlace(scratch, kRanks, out);
   PercentileTriple t;
-  t.p50 = Percentile(values, 50);
-  t.p95 = Percentile(values, 95);
-  t.p99 = Percentile(values, 99);
+  t.p99 = out[0];
+  t.p95 = out[1];
+  t.p50 = out[2];
   return t;
 }
 

@@ -8,14 +8,7 @@ double DecodeAttentionSeconds(const simgpu::HardwareSpec& hw,
                               const LlmConfig& model,
                               const AttentionCostConfig& cfg,
                               std::size_t batch, std::size_t kv_len) {
-  const double kv_bytes =
-      static_cast<double>(batch) * static_cast<double>(kv_len) *
-      model.KvBytesPerToken(cfg.kv_bits);
-  const double t_mem = kv_bytes / (hw.mem_bw_bytes * cfg.efficiency);
-  // The QK^T and PV inner products: 2 GEMV-like passes over the same bytes;
-  // on-chip FLOPs are hidden behind the stream, softmax etc. is the overhead
-  // factor.
-  return t_mem * cfg.softmax_overhead;
+  return DecodeAttentionTerms(hw, model, cfg).Seconds(batch, kv_len);
 }
 
 double PrefillAttentionSeconds(const simgpu::HardwareSpec& hw,

@@ -26,6 +26,32 @@ struct AttentionCostConfig {
   bool fp8_math = false;
 };
 
+/// Decode attention with everything but the batch and KV length priced
+/// once: the bytes one cached token holds over all layers, and the
+/// bandwidth the stream achieves.
+struct DecodeAttentionTerms {
+  DecodeAttentionTerms() = default;
+  DecodeAttentionTerms(const simgpu::HardwareSpec& hw, const LlmConfig& model,
+                       const AttentionCostConfig& cfg)
+      : kv_bytes_per_token(model.KvBytesPerToken(cfg.kv_bits)),
+        stream_bytes_per_s(hw.mem_bw_bytes * cfg.efficiency),
+        softmax_overhead(cfg.softmax_overhead) {}
+
+  /// Seconds for one decode step over all layers.
+  [[nodiscard]] double Seconds(std::size_t batch, std::size_t kv_len) const {
+    const double kv_bytes = static_cast<double>(batch) *
+                            static_cast<double>(kv_len) * kv_bytes_per_token;
+    // The QK^T and PV inner products: 2 GEMV-like passes over the same
+    // bytes; on-chip FLOPs are hidden behind the stream, softmax etc. is the
+    // overhead factor.
+    return kv_bytes / stream_bytes_per_s * softmax_overhead;
+  }
+
+  double kv_bytes_per_token = 0;
+  double stream_bytes_per_s = 0;
+  double softmax_overhead = 0;
+};
+
 /// Seconds for one decode step over all layers.
 double DecodeAttentionSeconds(const simgpu::HardwareSpec& hw,
                               const LlmConfig& model,

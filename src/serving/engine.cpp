@@ -36,7 +36,8 @@ ServingEngine::ServingEngine(simgpu::HardwareSpec hw, SystemPreset preset,
       model_(std::move(model)),
       options_(options),
       kernel_(simgpu::KernelConfig::For(preset_.kernel)),
-      attn_(AttentionFor(preset_)) {}
+      attn_(AttentionFor(preset_)),
+      decode_attention_(hw_, model_, attn_) {}
 
 double ServingEngine::OthersPerLayer(std::size_t batch) const {
   return BaseOthersPerLayer(hw_, model_, batch) * preset_.other_overhead;
@@ -63,22 +64,16 @@ double ServingEngine::LmHeadSeconds(std::size_t batch) const {
   });
 }
 
-LayerBreakdown ServingEngine::DecodeLayerBreakdown(std::size_t batch,
-                                                   std::size_t kv_len) const {
-  LayerBreakdown out;
-  out.gemm = LayerGemmSeconds(batch);
-  out.attention =
-      DecodeAttentionSeconds(hw_, model_, attn_, batch, kv_len) /
-      static_cast<double>(model_.num_layers);
-  out.others = OthersPerLayer(batch);
-  return out;
-}
-
-double ServingEngine::DecodeStepSeconds(std::size_t batch,
-                                        std::size_t kv_len) const {
-  const LayerBreakdown layer = DecodeLayerBreakdown(batch, kv_len);
-  // The LM head GEMM runs once per step (not per layer).
-  return layer.total() * model_.num_layers + LmHeadSeconds(batch);
+ServingEngine::DecodePricer ServingEngine::PriceDecode(
+    std::size_t batch) const {
+  DecodePricer p;
+  p.batch_ = batch;
+  p.layers_ = static_cast<double>(model_.num_layers);
+  p.gemm_ = LayerGemmSeconds(batch);
+  p.others_ = OthersPerLayer(batch);
+  p.lm_head_ = LmHeadSeconds(batch);
+  p.attention_ = decode_attention_;
+  return p;
 }
 
 double ServingEngine::PrefillSeconds(std::size_t batch,

@@ -96,13 +96,52 @@ class ServingEngine {
   [[nodiscard]] const LlmConfig& model() const { return model_; }
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
+  /// The decode-step cost at one batch size, with every term that does not
+  /// read the KV length priced once: the layer GEMM chain, "others", the LM
+  /// head and the attention constants.  DecodeStepSeconds and
+  /// DecodeLayerBreakdown are this pricer at one KV length, so a caller that
+  /// prices many steps of one batch (the scheduler's decode runs) gets the
+  /// same doubles without re-deriving the batch terms per step.
+  class DecodePricer {
+   public:
+    DecodePricer() = default;
+
+    /// One layer of one decode step at `kv_len`.
+    [[nodiscard]] LayerBreakdown Layer(std::size_t kv_len) const {
+      LayerBreakdown out;
+      out.gemm = gemm_;
+      out.attention = attention_.Seconds(batch_, kv_len) / layers_;
+      out.others = others_;
+      return out;
+    }
+    /// Whole-model decode-step latency (all layers + LM head) at `kv_len`.
+    [[nodiscard]] double Seconds(std::size_t kv_len) const {
+      // The LM head GEMM runs once per step (not per layer).
+      return Layer(kv_len).total() * layers_ + lm_head_;
+    }
+
+   private:
+    friend class ServingEngine;
+    std::size_t batch_ = 0;
+    double layers_ = 0;
+    double gemm_ = 0;     ///< one layer's GEMM chain
+    double others_ = 0;   ///< one layer's non-GEMM work
+    double lm_head_ = 0;  ///< the LM head, once per step
+    DecodeAttentionTerms attention_;
+  };
+  [[nodiscard]] DecodePricer PriceDecode(std::size_t batch) const;
+
   /// One decode step's per-layer breakdown at the given batch / KV length.
   [[nodiscard]] LayerBreakdown DecodeLayerBreakdown(std::size_t batch,
-                                                    std::size_t kv_len) const;
+                                                    std::size_t kv_len) const {
+    return PriceDecode(batch).Layer(kv_len);
+  }
 
   /// Whole-model decode-step latency (all layers + LM head).
   [[nodiscard]] double DecodeStepSeconds(std::size_t batch,
-                                         std::size_t kv_len) const;
+                                         std::size_t kv_len) const {
+    return PriceDecode(batch).Seconds(kv_len);
+  }
   /// Prefill latency for `batch` sequences of `input_len` tokens.
   [[nodiscard]] double PrefillSeconds(std::size_t batch,
                                       std::size_t input_len) const;
@@ -130,6 +169,7 @@ class ServingEngine {
   EngineOptions options_;
   simgpu::KernelConfig kernel_;
   AttentionCostConfig attn_;
+  DecodeAttentionTerms decode_attention_;
 
   /// The simgpu roofline walk is the only expensive term of every cost above
   /// and depends on one integer, the GEMM row count (the batch, for the LM

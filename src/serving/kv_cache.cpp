@@ -1,5 +1,6 @@
 #include "serving/kv_cache.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <iterator>
 #include <numeric>
@@ -124,6 +125,66 @@ bool KvBlockManager::AppendToken(SeqId id) {
     free_list_.pop_back();
   }
   ++seq->tokens;
+  return true;
+}
+
+std::size_t KvBlockManager::CoveredRounds(std::span<const std::uint32_t> slots,
+                                          std::size_t limit) const {
+  // A sequence crosses at most ceil(limit / B) block boundaries in `limit`
+  // rounds, so a free list that covers that for every sequence covers all.
+  const std::size_t most =
+      limit <= block_tokens_ ? 1 : (limit + block_tokens_ - 1) / block_tokens_;
+  if (free_blocks() >= slots.size() * most) return limit;
+  // Otherwise the need grows with the rounds: bisect for the last covered
+  // round, keeping need(lo) <= free < need(hi).  A sequence holds
+  // BlocksNeeded(tokens) blocks, so k more tokens need the difference at
+  // tokens + k.
+  const auto need = [&](std::size_t k) {
+    std::size_t blocks = 0;
+    for (const std::uint32_t slot : slots) {
+      const Sequence& seq = slab_[slot];
+      blocks += BlocksNeeded(seq.tokens + k) - seq.blocks.size();
+    }
+    return blocks;
+  };
+  if (need(limit) <= free_blocks()) return limit;
+  std::size_t lo = 0, hi = limit;
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    (need(mid) <= free_blocks() ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+bool KvBlockManager::AppendTokens(std::span<const std::uint32_t> slots,
+                                  std::size_t k) {
+  // Round j (1-based) of AppendToken takes a block for a sequence once its
+  // tokens fill its blocks: the first time at round room + 1, where room is
+  // the free space in its tail block, then every B rounds.
+  boundaries_.clear();
+  std::size_t need = 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const Sequence& seq = slab_[slots[i]];
+    const std::size_t first = seq.blocks.size() * block_tokens_ - seq.tokens + 1;
+    if (first > k) continue;
+    boundaries_.emplace_back(first, i);
+    need += k - first < block_tokens_ ? 1 : 1 + (k - first) / block_tokens_;
+  }
+  if (need > free_list_.size()) return false;
+  // Popping by (round, batch position) is the order the rounds would pop
+  // in.
+  if (boundaries_.size() > 1) {
+    std::sort(boundaries_.begin(), boundaries_.end());
+  }
+  for (std::size_t round = 0; need > 0; round += block_tokens_) {
+    for (const auto& [first, i] : boundaries_) {
+      if (first + round > k) break;
+      slab_[slots[i]].blocks.push_back(free_list_.back());
+      free_list_.pop_back();
+      --need;
+    }
+  }
+  for (const std::uint32_t slot : slots) slab_[slot].tokens += k;
   return true;
 }
 

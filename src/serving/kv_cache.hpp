@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace liquid::serving {
@@ -166,6 +167,26 @@ class KvBlockManager {
   /// Returns false on OOM (sequence state is unchanged).
   bool AppendToken(SeqId id);
 
+  /// A live sequence's slab slot, the handle AppendTokens takes, or kNoSlot.
+  /// The slot stays the sequence's until it is freed or exported.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  [[nodiscard]] std::uint32_t Slot(SeqId id) const {
+    const std::size_t i = ids_.Find(id);
+    return i == FlatKeyTable::kAbsent ? kNoSlot : ids_.value(i) - 1;
+  }
+
+  /// Appends `k` tokens to each sequence in `slots` (live slots, in batch
+  /// order): the tokens and blocks k rounds of AppendToken over the batch
+  /// would add, with every block id the same, since blocks leave the free
+  /// list in the same (round, batch position) order.  Returns false, changing
+  /// nothing, when the free list cannot cover every block boundary the k
+  /// rounds cross.  No id is probed: the caller keeps the slots.
+  bool AppendTokens(std::span<const std::uint32_t> slots, std::size_t k);
+  /// The largest k <= `limit` for which AppendTokens(slots, k) would succeed
+  /// on the blocks free now.
+  [[nodiscard]] std::size_t CoveredRounds(std::span<const std::uint32_t> slots,
+                                          std::size_t limit) const;
+
   /// Releases a sequence; all its blocks return to the free list.
   void Free(SeqId id);
 
@@ -197,6 +218,10 @@ class KvBlockManager {
 
   [[nodiscard]] std::size_t total_blocks() const { return total_blocks_; }
   [[nodiscard]] std::size_t free_blocks() const { return free_list_.size(); }
+  /// The free block ids; the next allocation takes the back one.
+  [[nodiscard]] std::span<const std::size_t> free_list() const {
+    return free_list_;
+  }
   [[nodiscard]] std::size_t used_blocks() const {
     return total_blocks() - free_blocks();
   }
@@ -255,6 +280,8 @@ class KvBlockManager {
   /// reuses them without allocating.
   std::vector<Sequence> slab_;
   std::vector<std::uint32_t> free_slots_;  ///< cleared slab slots, LIFO
+  /// AppendTokens scratch: (first boundary round, batch position) pairs.
+  std::vector<std::pair<std::size_t, std::size_t>> boundaries_;
   PrefixIndex prefix_index_;
 };
 

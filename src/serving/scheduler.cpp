@@ -81,7 +81,9 @@ void ContinuousBatchScheduler::Admit() {
   while (!waiting_.empty() && running_.size() < max_batch_) {
     const Request& next = waiting_.front().request;
     if (next.EffectiveArrival() > stats_.simulated_seconds) break;
-    if (next.kv_migrated && pool_.HasSequence(next.id)) {
+    const std::uint32_t imported =
+        next.kv_migrated ? pool_.Slot(next.id) : KvBlockManager::kNoSlot;
+    if (imported != KvBlockManager::kNoSlot) {
       // The KV landed via AcceptMigrated: nothing to allocate, no prefill to
       // charge.  One free block of generation headroom keeps parity with the
       // conservative admission below.
@@ -94,7 +96,7 @@ void ContinuousBatchScheduler::Admit() {
         trace_->AsyncBegin(obs::TraceEventType::kStageRun, at, next.id,
                            static_cast<double>(trace_pid_ - 1));
       }
-      running_.push_back({next, 0, 0});
+      running_.push_back({next, 0, 0, imported});
       waiting_.pop_front();
       continue;
     }
@@ -105,6 +107,7 @@ void ContinuousBatchScheduler::Admit() {
     const bool ok = pool_.AddSequence(next.id, next.prompt_tokens);
     assert(ok);
     (void)ok;
+    const std::uint32_t slot = pool_.Slot(next.id);
     const std::size_t cached = CachedPrefixTokens(next);
     if (cached > 0) {
       ++stats_.prefix_hits;
@@ -130,7 +133,7 @@ void ContinuousBatchScheduler::Admit() {
       // prefill advances one chunk per Step, interleaved with decode.  The
       // cached prefix never enters the chunk queue (prefill_remaining starts
       // at the uncached suffix, so `prior` accounting sees it as done).
-      running_.push_back({next, 0, next.prompt_tokens - cached});
+      running_.push_back({next, 0, next.prompt_tokens - cached, slot});
     } else {
       // Prefill for the admitted sequence happens in this iteration; charge
       // it (minus the cached-prefix discount).
@@ -146,7 +149,7 @@ void ContinuousBatchScheduler::Admit() {
       if (!next.prefix.empty()) {
         pool_.RegisterPrefix(next.id, next.prefix.hashes);
       }
-      running_.push_back({next, 0, 0});
+      running_.push_back({next, 0, 0, slot});
     }
     waiting_.pop_front();
   }
@@ -347,7 +350,7 @@ bool ContinuousBatchScheduler::Step() {
       return true;
     }
     const double decode =
-        engine_.DecodeStepSeconds(batch, static_cast<std::size_t>(mean_len)) *
+        PricerFor(batch).Seconds(static_cast<std::size_t>(mean_len)) *
         slowdown_;
     if (trace_ != nullptr) {
       trace_->Span(obs::TraceEventType::kDecodeStep, stats_.simulated_seconds,
@@ -391,6 +394,90 @@ bool ContinuousBatchScheduler::Step() {
   return true;
 }
 
+const ServingEngine::DecodePricer& ContinuousBatchScheduler::PricerFor(
+    std::size_t batch) {
+  if (pricer_batch_ != batch) {
+    pricer_ = engine_.PriceDecode(batch);
+    pricer_batch_ = batch;
+  }
+  return pricer_;
+}
+
+bool ContinuousBatchScheduler::DecodeRun(double deadline) {
+  if (running_.empty()) return false;
+  // Admit takes the head once the clock reaches its arrival, unless the
+  // batch is full or the pool cannot fit it; neither changes before a
+  // retirement (the run's appends only shrink the free list).
+  double admit_at = std::numeric_limits<double>::infinity();
+  if (!waiting_.empty() && running_.size() < max_batch_) {
+    const Request& head = waiting_.front().request;
+    const std::size_t need =
+        head.kv_migrated && pool_.HasSequence(head.id)
+            ? 1
+            : pool_.BlocksNeeded(head.prompt_tokens) + 1;
+    if (pool_.CanAllocate(need)) admit_at = head.EffectiveArrival();
+  }
+  if (admit_at <= stats_.simulated_seconds) return false;
+
+  // Every sequence decodes in every iteration of the run, and none reaches
+  // its retirement: the run is at most `left` - 1 iterations, `left` being
+  // the fewest tokens any sequence has left.  Nor does one reach its first
+  // token or a handoff: Step leaves every decode-ready sequence with its
+  // first token, and hands a prefill-only one off at it.
+  std::size_t left = std::numeric_limits<std::size_t>::max();
+  std::size_t len_sum = 0;
+  run_slots_.clear();
+  for (const Running& r : running_) {
+    if (r.prefill_remaining > 0) return false;
+    assert(r.request.first_token_time >= 0 && !r.request.prefill_only);
+    left = std::min(left, r.request.max_new_tokens - r.generated);
+    len_sum += r.request.prompt_tokens + r.generated;
+    assert(pool_.Slot(r.request.id) == r.slot);
+    run_slots_.push_back(r.slot);
+  }
+  if (left < 2) return false;
+  // The iteration whose appends the free list cannot cover preempts: leave
+  // it to Step.
+  const std::size_t max_k = pool_.CoveredRounds(run_slots_, left - 1);
+  if (max_k == 0) return false;
+
+  LIQUID_PROF_SCOPE("engine/step/decode");
+  const std::size_t n = running_.size();
+  const ServingEngine::DecodePricer& pricer = PricerFor(n);
+  const double batch = static_cast<double>(n);
+  // Step costs each iteration at the floor of the mean length, which grows
+  // by exactly one per iteration since every sequence gains one token.
+  const std::size_t kv_len = len_sum / n;
+  // StepUntil stops at the deadline, and Admit takes the head at admit_at.
+  const double stop = std::min(deadline, admit_at);
+  obs::TraceRecorder* const trace = trace_;
+  double clock = stats_.simulated_seconds;
+  double busy = stats_.busy_seconds;
+  double generated = stats_.generated_tokens;
+  std::size_t k = 0;
+  while (k < max_k && clock < stop) {
+    const double decode = pricer.Seconds(kv_len + k) * slowdown_;
+    if (trace != nullptr) {
+      trace->Span(obs::TraceEventType::kDecodeStep, clock, decode, trace_pid_,
+                  obs::kTidEngine, /*id=*/0, batch,
+                  static_cast<double>(len_sum + k * n) / batch);
+    }
+    clock += decode;
+    busy += decode;
+    generated += batch;
+    ++k;
+  }
+  const bool appended = pool_.AppendTokens(run_slots_, k);
+  assert(appended);
+  (void)appended;
+  for (Running& r : running_) r.generated += k;
+  stats_.simulated_seconds = clock;
+  stats_.busy_seconds = busy;
+  stats_.generated_tokens = generated;
+  stats_.iterations += k;
+  return true;
+}
+
 void ContinuousBatchScheduler::StepUntil(double deadline) {
   while (stats_.simulated_seconds < deadline) {
     // Idle (or waiting only on arrivals past the deadline): snap the clock to
@@ -402,7 +489,7 @@ void ContinuousBatchScheduler::StepUntil(double deadline) {
       stats_.simulated_seconds = deadline;
       return;
     }
-    if (!Step()) return;
+    if (!DecodeRun(deadline) && !Step()) return;
   }
 }
 
@@ -572,7 +659,7 @@ double ContinuousBatchScheduler::PredictTtft(
 }
 
 SchedulerStats ContinuousBatchScheduler::RunToCompletion() {
-  while (Step()) {
+  while (DecodeRun(std::numeric_limits<double>::infinity()) || Step()) {
   }
   return stats_;
 }

@@ -24,6 +24,24 @@
 //    advances one chunk per Step interleaved with decode steps
 //    (Sarathi-style), so a long prompt cannot stall the decode batch for its
 //    whole prefill.
+//
+// Decode runs.  Between fleet events most iterations change only the clock
+// and the token counts: a fixed batch of decode-ready sequences each gains
+// one token.  StepUntil and RunToCompletion advance such a stretch of k >= 1
+// iterations in one call when no iteration in it needs per-iteration
+// bookkeeping: every running sequence is decode-ready with at least 2
+// tokens left (so none retires; Step has already given each its first
+// token and handed prefill-only ones off), and the waiting head stays out
+// (it arrives after the clock at every iteration, or the batch is full, or
+// the KV pool is short; the last two hold until a retirement, which is a
+// plain Step).  The run prices iteration by iteration exactly as Step does,
+// with the same DecodePricer (kept for the last batch size) and the same +=
+// order, and stops where StepUntil would.  Then it appends k tokens per
+// sequence with one KvBlockManager::AppendTokens call by slab slot, which
+// takes the same block ids k Steps would.  The run is capped at the
+// iterations the free list covers, so an iteration whose append would
+// preempt is still a plain Step.  Stats, completions, traces (one
+// kDecodeStep span per iteration) and every block id are those of k Steps.
 
 #include <cstddef>
 #include <cstdint>
@@ -236,8 +254,18 @@ class ContinuousBatchScheduler {
     /// Zero once the sequence is decode-ready; always zero when the engine
     /// runs unchunked (the whole prefill is charged at admission).
     std::size_t prefill_remaining = 0;
+    /// The sequence's KvBlockManager slab slot, for decode-run appends.
+    std::uint32_t slot = KvBlockManager::kNoSlot;
   };
 
+  /// Advances a decode run of k >= 1 iterations that StepUntil(deadline)
+  /// would take one Step at a time (see the header comment).  Returns false,
+  /// changing nothing, when the next iteration needs a plain Step.
+  bool DecodeRun(double deadline);
+  /// The engine's DecodePricer for `batch`, kept for the last batch size
+  /// priced (one entry: a decode batch keeps its size between admissions
+  /// and retirements).
+  const ServingEngine::DecodePricer& PricerFor(std::size_t batch);
   void Admit();
   void Preempt();
   void Retire(const Running& done);
@@ -272,6 +300,11 @@ class ContinuousBatchScheduler {
   mutable std::uint64_t priced_epoch_ = 0;
   mutable double priced_slowdown_ = 1.0;
   std::vector<Running> running_;
+  /// Decode-run scratch: the slots of running_, in batch order.
+  std::vector<std::uint32_t> run_slots_;
+  /// PricerFor's entry: the batch size pricer_ was built for (0 = none yet).
+  std::size_t pricer_batch_ = 0;
+  ServingEngine::DecodePricer pricer_;
   SchedulerStats stats_;
   std::vector<RequestTiming> completions_;
   std::vector<PrefillHandoff> handoffs_;

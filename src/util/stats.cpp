@@ -1,6 +1,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -44,20 +45,47 @@ double Percentile(std::span<const double> values, double p) {
 }
 
 double PercentileInPlace(std::span<double> values, double p) {
-  if (values.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const double rank = (p / 100.0) * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  // The two order statistics a full sort would put at `lo` and `hi`: select
-  // the low one, then the high one is the least of the values after it.
-  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(values.begin(), lo_it, values.end());
-  const double lo_value = *lo_it;
-  const double hi_value =
-      hi == lo ? lo_value : *std::min_element(lo_it + 1, values.end());
-  return lo_value * (1.0 - frac) + hi_value * frac;
+  double out = 0;
+  PercentilesInPlace(values, {&p, 1}, {&out, 1});
+  return out;
+}
+
+void PercentilesInPlace(std::span<double> values, std::span<const double> ps,
+                        std::span<double> out) {
+  assert(out.size() == ps.size());
+  const std::size_t n = values.size();
+  // Invariant between ranks: values[bound] is the bound-th order statistic
+  // and [0, bound) holds the `bound` smaller ones, so a lower rank selects
+  // within [0, bound) (bound = n before the first rank).
+  std::size_t bound = n;
+  double lo_value = 0, hi_value = 0;
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    if (n == 0) {
+      out[i] = 0.0;
+      continue;
+    }
+    const double p = std::clamp(ps[i], 0.0, 100.0);
+    const double rank = (p / 100.0) * static_cast<double>(n - 1);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = rank - static_cast<double>(lo);
+    assert(lo <= bound);  // ps is non-increasing
+    if (lo < bound) {
+      // The two order statistics a full sort would put at `lo` and `hi`:
+      // select the low one, then the high one is the least of the values
+      // after it, up to and including the previous rank's.
+      const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+      const auto end =
+          values.begin() + static_cast<std::ptrdiff_t>(std::min(bound + 1, n));
+      std::nth_element(values.begin(), lo_it,
+                       values.begin() + static_cast<std::ptrdiff_t>(bound));
+      lo_value = *lo_it;
+      hi_value = hi == lo ? lo_value : *std::min_element(lo_it + 1, end);
+      bound = lo;
+    }
+    // (lo == bound: the same rank pair as the previous percentile.)
+    out[i] = lo_value * (1.0 - frac) + hi_value * frac;
+  }
 }
 
 double MeanSquaredError(std::span<const float> reference,

@@ -26,6 +26,13 @@ Summary Summarize(std::span<const float> values);
 double Percentile(std::span<const double> values, double p);
 /// Percentile without the copy: reorders `values` in place.
 double PercentileInPlace(std::span<double> values, double p);
+/// Several percentiles of one sample set, `ps` in non-increasing order, into
+/// `out` (same size).  Reorders `values` in place and selects each rank
+/// within the part below the previous one, so each result is the double
+/// PercentileInPlace returns for it and the work is one selection pass
+/// over ever smaller ranges.
+void PercentilesInPlace(std::span<double> values, std::span<const double> ps,
+                        std::span<double> out);
 
 /// Mean squared error between a reference tensor and its reconstruction.
 double MeanSquaredError(std::span<const float> reference,

@@ -174,6 +174,9 @@ TEST(AutoscaleTest, UnifiedPoolRegrowsAfterEveryReplicaIsKilled) {
 
   ExpectConservation(stats);
   EXPECT_EQ(stats.killed_replicas, 2u);
+  // The kill that leaves no replica regrows one before its lost requests
+  // re-route, so none of them drops into an empty fleet.
+  EXPECT_EQ(stats.dropped, 0u);
   EXPECT_EQ(stats.scale_ups, 2u);
   for (const ScaleEvent& e : stats.scale_events) {
     EXPECT_TRUE(e.up);

@@ -100,6 +100,9 @@ class ReferenceKvBlockManager {
     return prefix_index_;
   }
   [[nodiscard]] std::size_t free_blocks() const { return free_list_.size(); }
+  [[nodiscard]] const std::vector<std::size_t>& free_list() const {
+    return free_list_;
+  }
   [[nodiscard]] bool HasSequence(SeqId id) const {
     return sequences_.contains(id);
   }
@@ -170,6 +173,8 @@ void ExpectSame(const KvBlockManager& real, const ReferenceKvBlockManager& ref,
                 const std::string& where) {
   SCOPED_TRACE(where);
   ASSERT_EQ(real.free_blocks(), ref.free_blocks());
+  ASSERT_TRUE(std::ranges::equal(real.free_list(), ref.free_list()))
+      << "free lists differ";
   std::unordered_set<std::size_t> held;  // every block some sequence holds
   std::size_t held_count = 0;
   for (SeqId id = 0; id < kIds; ++id) {
@@ -300,6 +305,67 @@ TEST(KvPoolOracleTest, RandomMixKeepsEveryBlockTableIdentical) {
   EXPECT_GT(total.migrations, 100u);
   EXPECT_GT(total.registrations, 100u);
   EXPECT_GT(total.second_holders, 100u);
+}
+
+TEST(KvPoolOracleTest, AppendTokensIsRoundsOfAppendToken) {
+  // A batch of live sequences in random order gains k tokens each: the real
+  // manager in one AppendTokens call, the reference in k rounds of one
+  // AppendToken per sequence.  When a round would run dry the bulk call must
+  // refuse and change nothing, and CoveredRounds must name the last round
+  // the free list covers.
+  std::size_t bulk = 0, refused = 0, partial = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    KvBlockManager real(kPoolBlocks, kBlockTokens);
+    ReferenceKvBlockManager ref(kPoolBlocks, kBlockTokens);
+    for (std::size_t step = 0; step < 3000; ++step) {
+      const SeqId id = rng.Below(kIds);
+      const std::uint64_t kind = rng.Below(100);
+      std::string what;
+      if (kind < 30) {
+        const std::size_t tokens = rng.Below(40);
+        what = "AddSequence(" + std::to_string(id) + ")";
+        EXPECT_EQ(real.AddSequence(id, tokens), ref.AddSequence(id, tokens));
+      } else if (kind < 45) {
+        what = "Free(" + std::to_string(id) + ")";
+        real.Free(id);
+        ref.Free(id);
+      } else {
+        std::vector<SeqId> batch;
+        for (SeqId s = 0; s < kIds; ++s) {
+          if (ref.HasSequence(s) && rng.Below(2) == 0) batch.push_back(s);
+        }
+        for (std::size_t i = batch.size(); i > 1; --i) {
+          std::swap(batch[i - 1], batch[rng.Below(i)]);
+        }
+        const std::size_t k = 1 + rng.Below(3 * kBlockTokens);
+        what = "AppendTokens(" + std::to_string(batch.size()) + " seqs, " +
+               std::to_string(k) + ")";
+        std::vector<std::uint32_t> slots;
+        for (const SeqId s : batch) slots.push_back(real.Slot(s));
+        ReferenceKvBlockManager trial = ref;
+        std::size_t covered = 0;
+        for (; covered < k; ++covered) {
+          bool round_ok = true;
+          for (const SeqId s : batch) round_ok = round_ok && trial.AppendToken(s);
+          if (!round_ok) break;
+        }
+        EXPECT_EQ(real.CoveredRounds(slots, k), covered) << what;
+        const bool ok = covered == k;
+        EXPECT_EQ(real.AppendTokens(slots, k), ok) << what;
+        if (ok) ref = trial;
+        bulk += ok && !batch.empty();
+        refused += !ok;
+        partial += !ok && covered > 0;
+      }
+      ExpectSame(real, ref, "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step) + ": " + what);
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(bulk, 1000u);
+  EXPECT_GT(refused, 100u);
+  EXPECT_GT(partial, 100u);
 }
 
 }  // namespace

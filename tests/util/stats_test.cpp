@@ -58,6 +58,29 @@ TEST(StatsTest, PercentileMatchesSortedDefinition) {
   }
 }
 
+TEST(StatsTest, PercentilesInPlaceMatchesOneCallPerRank) {
+  // Ranks in non-increasing order, including repeats and the clamped ends:
+  // each result is the double PercentileInPlace returns on its own copy.
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  const std::vector<double> ranks{150, 100, 99.9, 99, 99, 75, 50, 50, 1, 0, -5};
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 64u, 501u}) {
+    std::vector<double> values(n);
+    for (double& v : values) v = uniform(rng);
+    std::vector<double> scratch = values;
+    std::vector<double> out(ranks.size());
+    PercentilesInPlace(scratch, ranks, out);
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      EXPECT_EQ(out[i], Percentile(values, ranks[i]))
+          << "n=" << n << " p=" << ranks[i];
+    }
+  }
+  std::vector<double> out(2, -1.0);
+  const std::vector<double> two{99, 50};
+  PercentilesInPlace({}, two, out);
+  EXPECT_EQ(out, (std::vector<double>{0.0, 0.0}));
+}
+
 TEST(StatsTest, MseAndSqnr) {
   const std::vector<float> ref{1.0f, -1.0f, 1.0f, -1.0f};
   const std::vector<float> rec{1.1f, -0.9f, 1.1f, -0.9f};
