@@ -10,6 +10,12 @@ namespace liquid::cluster {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Window of the tokens_per_s_window metric gauge.
+constexpr double kTokensWindowSeconds = 10.0;
+/// Prompt size that probes PredictTtft-based admission feasibility before a
+/// scale-down: the removal is vetoed when no surviving prompt-eligible
+/// replica could admit such a prompt within the TTFT SLO.
+constexpr std::size_t kSloProbePromptTokens = 512;
 
 }  // namespace
 
@@ -22,7 +28,7 @@ ClusterSimulator::ClusterSimulator(RoutePolicy policy,
       coordinator_(disagg),
       ttft_window_(autoscale.window_seconds),
       tpot_window_(autoscale.window_seconds),
-      tokens_window_(autoscale.cost_window_seconds) {
+      tokens_window_(kTokensWindowSeconds) {
   pool_runtime_.reserve(autoscale_.pools.size());
   for (const AutoscalePool& pool : autoscale_.pools) {
     pool_runtime_.push_back({SlidingWindowStats(pool.window_seconds),
@@ -232,15 +238,7 @@ bool ClusterSimulator::RemoveReplica(std::size_t id) {
         best_compatible = compatible;
       }
     }
-    serving::Request moved = req;
-    // Drain zeroed the credit (it was against the victim's pool); re-score
-    // it against the new home's resident prefixes.
-    moved.cached_prefix_blocks =
-        replicas_[best]
-            .scheduler->pool()
-            .prefix_index()
-            .SharedPrefixBlocks(moved.prefix.hashes);
-    replicas_[best].scheduler->Submit(moved);
+    replicas_[best].scheduler->Submit(req);
     ++replicas_[best].submitted;
     ++tally_.rerouted;
   }
@@ -276,16 +274,7 @@ bool ClusterSimulator::RemoveReplica(std::size_t id) {
     // Source gone too: the transfer has nowhere to land — genuine loss.
     ++tally_.lost_requests;
     tally_.wasted_tokens += static_cast<double>(m.continuation.progress);
-    serving::TimedRequest retry;
-    if (meta != inflight_.end()) {
-      retry = meta->second;
-    } else {
-      retry.id = m.continuation.id;
-      retry.arrival_seconds = m.continuation.arrival;
-      retry.prompt_tokens = m.continuation.prompt_tokens - m.continuation.progress;
-      retry.max_new_tokens = m.continuation.max_new_tokens + m.continuation.progress;
-    }
-    RetryLost(retry, now);
+    RetryLost(m.continuation, now);
   }
   return true;
 }
@@ -322,23 +311,9 @@ bool ClusterSimulator::KillReplica(std::size_t id, double now) {
   if (ActiveReplicas() == 0) MaybeAutoscale(now);
 
   // Re-route storm: every lost request is re-submitted from scratch.  The
-  // original TimedRequest (session/tenant intact) is replayed with its
-  // original arrival time, so a retry's TTFT charges the failed attempt;
-  // attempt counts the failures it survived.  The RetryPolicy meters the
-  // storm: backoff delays the re-route, the budget caps it.
-  for (const serving::Request& lost : forfeit.requests) {
-    serving::TimedRequest retry;
-    const auto meta = inflight_.find(lost.id);
-    if (meta != inflight_.end()) {
-      retry = meta->second;
-    } else {
-      retry.id = lost.id;
-      retry.arrival_seconds = lost.arrival;
-      retry.prompt_tokens = lost.prompt_tokens;
-      retry.max_new_tokens = lost.max_new_tokens;
-    }
-    RetryLost(retry, now);
-  }
+  // RetryPolicy meters the storm: backoff delays the re-route, the budget
+  // caps it.
+  for (const serving::Request& lost : forfeit.requests) RetryLost(lost, now);
   return true;
 }
 
@@ -362,7 +337,22 @@ bool ClusterSimulator::DegradeReplica(std::size_t id, double slowdown_factor) {
   return true;
 }
 
-void ClusterSimulator::RetryLost(serving::TimedRequest retry, double now) {
+void ClusterSimulator::RetryLost(const serving::Request& lost, double now) {
+  // The original TimedRequest (session/tenant intact) is replayed with its
+  // original arrival time, so a retry's TTFT charges the failed attempt;
+  // attempt counts the failures it survived.
+  serving::TimedRequest retry;
+  const auto meta = inflight_.find(lost.id);
+  if (meta != inflight_.end()) {
+    retry = meta->second;
+  } else {
+    const serving::Request original = lost.Original();
+    retry.id = original.id;
+    retry.arrival_seconds = original.arrival;
+    retry.prompt_tokens = original.prompt_tokens;
+    retry.max_new_tokens = original.max_new_tokens;
+    retry.prefix = original.prefix;
+  }
   ++retry.attempt;
   if (retry_.max_attempts > 0 && retry.attempt > retry_.max_attempts) {
     if (trace_ != nullptr) {
@@ -410,16 +400,14 @@ void ClusterSimulator::HarvestCompletions() {
     for (; r.harvested < done.size(); ++r.harvested) {
       const serving::RequestTiming& t = done[r.harvested];
       work_observed_ = true;
-      // The fleet-wide windows are fed only for their readers: the metric
-      // gauges (all three) and the autoscaler's cost check (tokens).
+      // The fleet-wide windows are fed only for their one reader, the
+      // metric gauges.
       if (metrics_ != nullptr) {
         ttft_window_.Add(t.finish, t.Ttft());
         if (t.generated > 1) tpot_window_.Add(t.finish, t.Tpot());
+        tokens_window_.Add(t.finish, static_cast<double>(t.generated));
         ttft_hist_->Add(t.Ttft());
         if (t.generated > 1) tpot_hist_->Add(t.Tpot());
-      }
-      if (metrics_ != nullptr || !autoscale_.pools.empty()) {
-        tokens_window_.Add(t.finish, static_cast<double>(t.generated));
       }
       if (r.pool != kNoPool) {
         // Role-typed pools watch their own streams: the TTFT window feeds
@@ -514,19 +502,7 @@ void ClusterSimulator::LandMigrationsThrough(double deadline) {
       ++tally_.disagg.target_deaths;
       ++tally_.lost_requests;
       tally_.wasted_tokens += static_cast<double>(m.continuation.progress);
-      serving::TimedRequest retry;
-      const auto meta = inflight_.find(m.continuation.id);
-      if (meta != inflight_.end()) {
-        retry = meta->second;
-      } else {
-        retry.id = m.continuation.id;
-        retry.arrival_seconds = m.continuation.arrival;
-        retry.prompt_tokens =
-            m.continuation.prompt_tokens - m.continuation.progress;
-        retry.max_new_tokens =
-            m.continuation.max_new_tokens + m.continuation.progress;
-      }
-      RetryLost(retry, m.arrive);
+      RetryLost(m.continuation, m.arrive);
       continue;
     }
     ++dst.submitted;
@@ -564,16 +540,8 @@ void ClusterSimulator::DeliverContinuation(Replica& dst,
   }
   ++tally_.disagg.import_ooms;
   tally_.wasted_tokens += static_cast<double>(continuation.progress);
-  serving::Request fresh;
-  fresh.id = continuation.id;
-  fresh.prompt_tokens = continuation.prompt_tokens - continuation.progress;
-  fresh.max_new_tokens = continuation.max_new_tokens + continuation.progress;
-  fresh.arrival = continuation.arrival;
+  serving::Request fresh = continuation.Original();
   fresh.ready = ready;
-  fresh.prefix = continuation.prefix;
-  fresh.cached_prefix_blocks =
-      dst.scheduler->pool().prefix_index().SharedPrefixBlocks(
-          fresh.prefix.hashes);
   dst.scheduler->Submit(fresh);
 }
 
@@ -687,19 +655,7 @@ std::optional<std::size_t> ClusterSimulator::RouteOne(
                             explain.score,
                             std::span<const obs::TraceArg>(terms, nterms));
   }
-  serving::Request req;
-  req.id = request.id;
-  req.prompt_tokens = request.prompt_tokens;
-  req.max_new_tokens = request.max_new_tokens;
-  req.arrival = request.arrival_seconds;
-  req.prefix = request.prefix;
-  // Prefix-cache credit: however the destination was chosen, whatever
-  // leading signature blocks its pool already holds skip their prefill
-  // compute there (locality pays even under prefix-blind presets — the
-  // prefix_aware preset just steers toward it).
-  req.cached_prefix_blocks =
-      replicas_[dest].scheduler->pool().prefix_index().SharedPrefixBlocks(
-          request.prefix.hashes);
+  serving::Request req = serving::Request::FromTimed(request);
   // A prompt landing on a prefill-specialized replica runs to its first
   // token only; the DisaggCoordinator moves its KV to a decode replica.
   if (router_.role_aware() &&
@@ -796,10 +752,8 @@ void ClusterSimulator::MaybeAutoscale(double now) {
   // loop).  Growth outranks shrink within an evaluation: the most
   // overloaded pool grows first, and with cost_aware the most expensive
   // shrink-eligible pool shrinks first — the biggest cut to predicted
-  // $/1M tokens per event.  A hot pool whose growth cannot land (already
-  // at max_replicas, or vetoed by the cost cap) does NOT block another
-  // pool's stabilized shrink: consolidating idle capacity is the objective
-  // precisely when the budget refuses more of it.
+  // $/1M tokens per event.  A hot pool already at max_replicas does NOT
+  // block another pool's stabilized shrink.
   struct ShrinkCandidate {
     std::size_t pool;
     double rate;
@@ -847,15 +801,8 @@ void ClusterSimulator::MaybeAutoscale(double now) {
   }
 
   if (up_pool != kNoPool) {
-    const AutoscalePool& pool = autoscale_.pools[up_pool];
-    const bool affordable =
-        up_forced || autoscale_.max_dollars_per_m_tokens <= 0 ||
-        PredictedDollarsPerMTok(now, pool.spec.dollars_per_hour) <=
-            autoscale_.max_dollars_per_m_tokens;
-    if (affordable) {
-      CommitScaleUp(up_pool, pool.spec, now, up_value);
-      return;
-    }
+    CommitScaleUp(up_pool, autoscale_.pools[up_pool].spec, now, up_value);
+    return;
   }
   // With cost_aware the most expensive pool shrinks first (the biggest cut
   // to $/1M tok per event); otherwise config order.  A pool whose only
@@ -900,8 +847,7 @@ bool ClusterSimulator::CommitScaleDown(std::size_t pool, double now,
   // PredictTtft-based feasibility: never shrink into an SLO breach (only
   // enforced when the router actually has a TTFT budget to keep).
   if (router_.slo().ttft_budget > 0 &&
-      !router_.ScaleDownSafe(Views(autoscale_.slo_probe_prompt_tokens),
-                             victim)) {
+      !router_.ScaleDownSafe(Views(kSloProbePromptTokens), victim)) {
     return false;
   }
   const ReplicaRole role = replicas_[victim].spec.role;
@@ -949,20 +895,6 @@ bool ClusterSimulator::LastActiveOfRole(const Replica& replica) const {
     }
   }
   return true;
-}
-
-double ClusterSimulator::PredictedDollarsPerMTok(double now,
-                                                 double delta_dollars_per_hour) {
-  double rate_per_hour = delta_dollars_per_hour;
-  for (const Replica& r : replicas_) {
-    if (r.active) rate_per_hour += r.spec.dollars_per_hour;
-  }
-  const double window = tokens_window_.window_seconds();
-  const double tokens =
-      tokens_window_.Mean(now) * static_cast<double>(tokens_window_.Count(now));
-  const double tokens_per_s = window > 0 ? tokens / window : 0;
-  if (tokens_per_s <= 0) return 0;  // no recent evidence: nothing to veto on
-  return (rate_per_hour / 3600.0) / tokens_per_s * 1e6;
 }
 
 bool ClusterSimulator::FleetBusy() const {

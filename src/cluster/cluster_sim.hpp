@@ -136,17 +136,6 @@ struct AutoscaleConfig {
   /// expensive pool first — the biggest cut to predicted $/1M tokens per
   /// event.  Scale-ups stay SLO-driven.
   bool cost_aware = false;
-  /// Optional scale-up budget cap: a growth event (other than min-replica
-  /// enforcement) is vetoed when the predicted post-scale $/1M tokens —
-  /// fleet $/hour over the recent token rate — exceeds this.  0 disables.
-  double max_dollars_per_m_tokens = 0;
-  /// Window for the recent-token-rate estimate behind the cost predictions.
-  double cost_window_seconds = 10.0;
-  /// Prompt size used to probe PredictTtft-based admission feasibility
-  /// before a scale-down: the removal is vetoed when no surviving
-  /// prompt-eligible replica could admit such a prompt within the TTFT SLO
-  /// (only enforced when the router has an SLO budget).
-  std::size_t slo_probe_prompt_tokens = 512;
   /// Downscale stabilization (k8s-HPA style): a shrink commits only after
   /// the signal has read below `low` CONTINUOUSLY for this long (every
   /// evaluation in the window read low), so a momentarily empty queue
@@ -325,10 +314,12 @@ class ClusterSimulator {
   /// tracks in-flight metadata, and submits to the chosen scheduler (flagged
   /// prefill-only when it lands on a prefill-role replica).
   std::optional<std::size_t> RouteOne(const serving::TimedRequest& request);
-  /// One request lost with its host (kill) or transfer (target death):
-  /// spends a retry attempt — scheduling the re-route after backoff — or
-  /// abandons the request when the budget is gone.
-  void RetryLost(serving::TimedRequest retry, double now);
+  /// One request lost with its host (kill) or transfer (target death, or
+  /// its source and target both gone): replays the original routed
+  /// TimedRequest from inflight_ (else `lost.Original()`), spending a retry
+  /// attempt — scheduling the re-route after backoff — or abandons the
+  /// request when the budget is gone.
+  void RetryLost(const serving::Request& lost, double now);
   void HarvestCompletions();
   /// Plans migrations for freshly harvested prefill handoffs.
   void HarvestHandoffs();
@@ -359,11 +350,6 @@ class ClusterSimulator {
   void CommitScaleUp(std::size_t pool, const ReplicaSpec& spec, double now,
                      double signal_value);
   bool CommitScaleDown(std::size_t pool, double now, double signal_value);
-  /// Fleet $/1M tokens were `delta_dollars_per_hour` added to the burn rate,
-  /// over the recent windowed token rate; 0 when there is no recent
-  /// completion evidence (no basis to veto).
-  [[nodiscard]] double PredictedDollarsPerMTok(double now,
-                                               double delta_dollars_per_hour);
   /// Any queued/running work, in-flight migration, or pending retry.
   [[nodiscard]] bool FleetBusy() const;
   /// The shared clock: furthest-advanced active replica (0 when none).
@@ -440,9 +426,9 @@ class ClusterSimulator {
   SlidingWindowStats tpot_window_;
   /// Per-pool signal windows, parallel to autoscale_.pools.
   std::vector<PoolRuntime> pool_runtime_;
-  /// Recent generated-token samples (finish, tokens) behind the cost-aware
-  /// $/1M-token predictions and the tokens_per_s_window gauge, fed only
-  /// when autoscale pools or metrics are there to read them.
+  /// Recent generated-token samples (finish, tokens) behind the
+  /// tokens_per_s_window gauge over a fixed 10 s window, fed only while
+  /// metrics are attached.
   SlidingWindowStats tokens_window_;
   /// Periodic autoscale tick state (armed only when tick_seconds > 0).
   bool tick_armed_ = false;

@@ -6,6 +6,12 @@
 namespace liquid::serving {
 namespace {
 
+/// Device memory the fixed-batch Run, MemoryBytes and MaxBatch budget
+/// against (H800 80 GB).
+constexpr double kMemoryBudgetBytes = 80e9;
+/// PagedAttention block size of the fixed-batch Run's KV pool.
+constexpr std::size_t kKvBlockTokens = 16;
+
 /// Baseline non-GEMM per-layer cost: layer norms, RoPE, residual adds,
 /// activation quantization, KV write, routing.  Mostly bandwidth-bound over
 /// activation tensors plus a fixed kernel-launch floor.
@@ -133,11 +139,10 @@ double ServingEngine::MemoryBytes(const ServingWorkload& workload) const {
   // Size the paged pool with a real allocation: blocks for every sequence at
   // full length (the Table 1 setting pre-allocates for the fixed lengths).
   const std::size_t blocks_per_seq =
-      (tokens_per_seq + options_.kv_block_tokens - 1) /
-      options_.kv_block_tokens;
+      (tokens_per_seq + kKvBlockTokens - 1) / kKvBlockTokens;
   const double kv_bytes = static_cast<double>(blocks_per_seq) *
                           static_cast<double>(workload.batch) *
-                          static_cast<double>(options_.kv_block_tokens) *
+                          static_cast<double>(kKvBlockTokens) *
                           model_.KvBytesPerToken(preset_.kv_bits);
   const double act_workspace = static_cast<double>(workload.batch) *
                                std::max(workload.input_len, std::size_t{1}) *
@@ -153,21 +158,19 @@ ServingResult ServingEngine::Run(const ServingWorkload& workload) const {
     return out;
   }
   out.memory_bytes = MemoryBytes(workload);
-  if (out.memory_bytes > options_.memory_budget_bytes) {
+  if (out.memory_bytes > kMemoryBudgetBytes) {
     out.oom = true;
     return out;
   }
 
   // Verify the KV pool really accommodates the batch with a paged allocation.
-  const double kv_pool_bytes = options_.memory_budget_bytes -
-                               WeightMemoryBytes() -
-                               preset_.base_memory_bytes;
-  const double block_bytes =
-      static_cast<double>(options_.kv_block_tokens) *
-      model_.KvBytesPerToken(preset_.kv_bits);
+  const double kv_pool_bytes =
+      kMemoryBudgetBytes - WeightMemoryBytes() - preset_.base_memory_bytes;
+  const double block_bytes = static_cast<double>(kKvBlockTokens) *
+                             model_.KvBytesPerToken(preset_.kv_bits);
   KvBlockManager pool(
       static_cast<std::size_t>(std::max(0.0, kv_pool_bytes / block_bytes)),
-      options_.kv_block_tokens);
+      kKvBlockTokens);
   for (std::size_t s = 0; s < workload.batch; ++s) {
     if (!pool.AddSequence(s, workload.input_len + workload.output_len)) {
       out.oom = true;
@@ -200,7 +203,7 @@ std::size_t ServingEngine::MaxBatch(std::size_t input_len,
   while (lo <= hi) {
     const std::size_t mid = (lo + hi) / 2;
     ServingWorkload w{input_len, output_len, mid};
-    if (MemoryBytes(w) <= options_.memory_budget_bytes) {
+    if (MemoryBytes(w) <= kMemoryBudgetBytes) {
       best = mid;
       lo = mid + 1;
     } else {

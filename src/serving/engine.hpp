@@ -49,8 +49,6 @@ struct ServingResult {
 };
 
 struct EngineOptions {
-  double memory_budget_bytes = 80e9;  ///< H800 80 GB
-  std::size_t kv_block_tokens = 16;   ///< PagedAttention block size
   /// Chunked prefill: process prompts in chunks of at most this many tokens
   /// per engine iteration (0 = unchunked).  Chunking bounds the GEMM batch a
   /// prefill can monopolize, at the cost of re-reading prior KV for the

@@ -43,12 +43,9 @@ bool ContinuousBatchScheduler::AcceptMigrated(Request request,
 std::size_t ContinuousBatchScheduler::CachedPrefixTokens(
     const Request& request) const {
   if (request.prefix.empty() || request.prefix.block_tokens == 0) return 0;
-  // The Submit credit is the placement layer's promise, computed at routing
-  // time; residency can move BOTH ways before admission (a same-prefix
-  // request queued ahead registers its blocks when its prefill runs — or
-  // the holder retires and frees them).  The live index is ground truth:
-  // the credit is only honored as far as the blocks are still resident, and
-  // overlap that materialized after routing counts for free.
+  // The live index is the only source of a hit: residency moves both ways
+  // while a request waits (a same-prefix request queued ahead registers its
+  // blocks when its prefill runs, or the holder retires and frees them).
   const std::size_t blocks = std::min(
       pool_.prefix_index().SharedPrefixBlocks(request.prefix.hashes),
       request.prefix.hashes.size());
@@ -177,13 +174,8 @@ void ContinuousBatchScheduler::Preempt() {
   // (first token, cumulative progress) carries over.  Migrated KV does not
   // survive eviction: the retry recomputes its prefill like any other.
   Request retry = victim.request;
-  retry.prompt_tokens += victim.generated;
-  retry.max_new_tokens -= victim.generated;
-  retry.progress += victim.generated;
+  retry.FoldGenerated(victim.generated);
   retry.kv_migrated = false;
-  // The credit's backing blocks may have left the pool by re-admission time;
-  // the retry recomputes its full prefill (and re-registers its hashes then).
-  retry.cached_prefix_blocks = 0;
   waiting_.push_front({retry});
   ++stats_.preemptions;
 }
@@ -219,9 +211,7 @@ void ContinuousBatchScheduler::Handoff(const Running& done) {
   PrefillHandoff h;
   h.kv = pool_.Export(done.request.id);
   Request cont = done.request;
-  cont.prompt_tokens += done.generated;
-  cont.max_new_tokens -= done.generated;
-  cont.progress += done.generated;
+  cont.FoldGenerated(done.generated);
   cont.prefill_only = false;
   cont.kv_migrated = true;
   h.request = cont;
@@ -324,13 +314,15 @@ bool ContinuousBatchScheduler::Step() {
     }
     mean_len /= static_cast<double>(ready);
 
-    // Append one token to every decode-ready sequence, preempting on OOM.
+    // Append one token to every decode-ready sequence by its slab slot,
+    // preempting on OOM.
     for (std::size_t i = 0; i < running_.size();) {
       if (running_[i].prefill_remaining > 0) {
         ++i;
         continue;
       }
-      if (pool_.AppendToken(running_[i].request.id)) {
+      assert(pool_.Slot(running_[i].request.id) == running_[i].slot);
+      if (pool_.AppendTokens({&running_[i].slot, 1}, 1)) {
         ++running_[i].generated;
         ++i;
       } else {
@@ -511,11 +503,8 @@ std::vector<Request> ContinuousBatchScheduler::Drain() {
   for (const Running& r : running_) {
     pool_.Free(r.request.id);
     Request req = r.request;
-    req.prompt_tokens += r.generated;
-    req.max_new_tokens -= r.generated;
-    req.progress += r.generated;
+    req.FoldGenerated(r.generated);
     req.kv_migrated = false;  // the KV stays behind; the next host recomputes
-    req.cached_prefix_blocks = 0;  // the credit was against THIS pool's index
     out.push_back(req);
   }
   running_.clear();
@@ -523,7 +512,6 @@ std::vector<Request> ContinuousBatchScheduler::Drain() {
     pool_.Free(w.request.id);  // no-op unless KV was imported before admission
     Request req = w.request;
     req.kv_migrated = false;
-    req.cached_prefix_blocks = 0;
     out.push_back(req);
   }
   waiting_.clear();
@@ -543,19 +531,11 @@ ContinuousBatchScheduler::ForfeitedWork ContinuousBatchScheduler::Forfeit() {
                        stats_.simulated_seconds, w.request.id);
     }
   }
-  // A request's original shape is recoverable from the preemption bookkeeping:
-  // `progress` tokens were folded into prompt_tokens (and out of
-  // max_new_tokens) at each preemption, and a running residency has
-  // `generated` more tokens not yet folded.
+  // A running residency has `generated` more tokens not yet folded into
+  // `progress`; both are wasted.
   const auto reset = [&](const Request& req, std::size_t generated) {
-    Request fresh;
-    fresh.id = req.id;
-    fresh.prompt_tokens = req.prompt_tokens - req.progress;
-    fresh.max_new_tokens = req.max_new_tokens + req.progress;
-    fresh.arrival = req.arrival;
-    fresh.prefix = req.prefix;  // content identity survives the failure
     out.wasted_tokens += static_cast<double>(req.progress + generated);
-    out.requests.push_back(fresh);
+    out.requests.push_back(req.Original());
   };
   for (const Running& r : running_) {
     pool_.Free(r.request.id);

@@ -77,15 +77,44 @@ struct Request {
 
   /// Block-hash signature of the prompt; published in the pool's
   /// PrefixIndex once the prefill (or import) makes the blocks resident.
+  /// Admission looks the signature up in the live index: leading blocks
+  /// resident then skip their prefill compute (the blocks are still
+  /// allocated — the discount is compute, not memory — and a full-prompt
+  /// hit still recomputes the last token for logits).
   PrefixSignature prefix = {};
-  /// Prefix-cache credit from the placement layer: at routing time, this
-  /// many leading signature blocks were resident on this replica.  The
-  /// credit is a PROMISE, not a charge ticket — admission re-validates
-  /// against the live index and skips prefill compute only for blocks still
-  /// resident then (overlap that materialized after routing counts too).
-  /// The blocks are still allocated — the discount is compute, not memory —
-  /// and a full-prompt hit still recomputes the last token for logits.
-  std::size_t cached_prefix_blocks = 0;
+
+  /// A fresh submission of a trace request.
+  [[nodiscard]] static Request FromTimed(const TimedRequest& timed) {
+    Request r;
+    r.id = timed.id;
+    r.prompt_tokens = timed.prompt_tokens;
+    r.max_new_tokens = timed.max_new_tokens;
+    r.arrival = timed.arrival_seconds;
+    r.prefix = timed.prefix;
+    return r;
+  }
+
+  /// The request as first submitted: `progress` tokens were folded into
+  /// prompt_tokens (and out of max_new_tokens) by each FoldGenerated, so
+  /// unfolding them recovers the original shape.  Arrival and prefix (the
+  /// content identity) survive; timing and generation state do not.
+  [[nodiscard]] Request Original() const {
+    Request r;
+    r.id = id;
+    r.prompt_tokens = prompt_tokens - progress;
+    r.max_new_tokens = max_new_tokens + progress;
+    r.arrival = arrival;
+    r.prefix = prefix;
+    return r;
+  }
+
+  /// Carries `generated` tokens of a residency forward: they become prompt
+  /// the next residency re-reads (or recomputes) and leave the budget.
+  void FoldGenerated(std::size_t generated) {
+    prompt_tokens += generated;
+    max_new_tokens -= generated;
+    progress += generated;
+  }
 
   [[nodiscard]] double EffectiveArrival() const {
     return ready > arrival ? ready : arrival;
@@ -107,7 +136,8 @@ struct SchedulerStats {
   std::size_t preemptions = 0;
   std::size_t dropped = 0;  ///< requests that can never fit the KV pool
   std::size_t prefill_handoffs = 0;  ///< prefill-only requests handed off
-  std::size_t prefix_hits = 0;  ///< admissions with a cached-prefix credit
+  /// Admissions whose leading prompt blocks were resident.
+  std::size_t prefix_hits = 0;
   double prefill_tokens_saved = 0;  ///< prompt tokens whose prefill was skipped
   double simulated_seconds = 0;
   double busy_seconds = 0;  ///< clock time spent in prefill/decode compute
@@ -127,13 +157,7 @@ class ContinuousBatchScheduler {
 
   void Submit(Request request);
   void SubmitTimed(const TimedRequest& request) {
-    Request r;
-    r.id = request.id;
-    r.prompt_tokens = request.prompt_tokens;
-    r.max_new_tokens = request.max_new_tokens;
-    r.arrival = request.arrival_seconds;
-    r.prefix = request.prefix;
-    Submit(r);
+    Submit(Request::FromTimed(request));
   }
 
   /// Lands a migrated-in continuation: imports its KV into this pool and
@@ -254,7 +278,7 @@ class ContinuousBatchScheduler {
     /// Zero once the sequence is decode-ready; always zero when the engine
     /// runs unchunked (the whole prefill is charged at admission).
     std::size_t prefill_remaining = 0;
-    /// The sequence's KvBlockManager slab slot, for decode-run appends.
+    /// The sequence's KvBlockManager slab slot, the handle appends take.
     std::uint32_t slot = KvBlockManager::kNoSlot;
   };
 
@@ -272,9 +296,9 @@ class ContinuousBatchScheduler {
   void Handoff(const Running& done);
   /// Cost of the chunks still ahead of a mid-prefill sequence.
   [[nodiscard]] double RemainingPrefillSeconds(const Running& r) const;
-  /// Prompt tokens the request's prefill can skip: the better of the Submit
-  /// credit and the live index overlap at admission time (capped so a full
-  /// hit still recomputes the last token for logits).
+  /// Prompt tokens the request's prefill can skip: its signature's overlap
+  /// with the live index (capped so a full hit still recomputes the last
+  /// token for logits).
   [[nodiscard]] std::size_t CachedPrefixTokens(const Request& request) const;
   /// Prefill charge for a request whose first `cached` prompt tokens are
   /// resident (its CachedPrefixTokens at admission).

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_sim.hpp"
+#include "obs/trace_recorder.hpp"
 #include "serving/workload.hpp"
 
 namespace liquid::cluster {
@@ -202,6 +203,60 @@ TEST(DisaggTest, GracefulScaleDownLosesNothingMidMigration) {
   EXPECT_EQ(s.retries_exhausted, 0u);
   EXPECT_EQ(s.disagg.target_deaths, 0u);
   EXPECT_EQ(s.completed, s.submitted);
+}
+
+TEST(DisaggTest, RemovedTargetWithDeadSourceRetriesTheOriginal) {
+  // A transfer whose target is removed gracefully re-plans onto another
+  // decode home or decodes locally at its source; with the source killed
+  // and no other decode replica, it has nowhere to land and is lost.  The
+  // retry replays the original request, not the continuation.
+  DisaggConfig disagg;
+  disagg.interconnect.bandwidth_gb_per_s = 0.5;  // transfers visibly fly
+  disagg.interconnect.prefill_overlap = 0;
+  disagg.max_migration_seconds = 100.0;
+  ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
+  obs::TraceRecorder recorder;
+  sim.AttachTelemetry(&recorder, nullptr);
+  sim.AddReplica(DisaggReplica(ReplicaRole::kPrefill, 2048));
+  sim.AddReplica(DisaggReplica(ReplicaRole::kPrefill, 2048));
+  const std::size_t decode =
+      sim.AddReplica(DisaggReplica(ReplicaRole::kDecode, 2048));
+
+  serving::TimedRequest request;
+  request.id = 7;
+  request.prompt_tokens = 2048;
+  request.max_new_tokens = 32;
+  request.session = 3;
+  const std::optional<std::size_t> src = sim.SubmitAndRoute(request);
+  ASSERT_EQ(src, std::optional<std::size_t>(0));
+  double now = 0;
+  while (sim.InMigration() == 0 && now < 5.0) {
+    now += 0.01;
+    sim.AdvanceTo(now);
+  }
+  ASSERT_EQ(sim.InMigration(), 1u);  // handed off from P0, still in flight
+  EXPECT_TRUE(sim.KillReplica(*src, now));
+  EXPECT_TRUE(sim.RemoveReplica(decode));
+
+  const FleetStats s = sim.Run({});
+  ExpectConservation(s);
+  EXPECT_EQ(s.submitted, 1u);
+  EXPECT_EQ(s.lost_requests, 1u);
+  EXPECT_EQ(s.retried_requests, 1u);
+  EXPECT_EQ(s.completed, s.submitted);
+  EXPECT_EQ(s.disagg.target_deaths, 0u);  // removed, not killed
+
+  std::size_t retries = 0;
+  for (const obs::TraceEvent& e : recorder.events()) {
+    if (e.type != obs::TraceEventType::kArrival || e.id != request.id ||
+        e.a2 != 1.0) {
+      continue;
+    }
+    ++retries;
+    EXPECT_DOUBLE_EQ(e.a0, 2048.0);  // prompt_tokens, not the continuation's
+    EXPECT_DOUBLE_EQ(e.a1, 32.0);    // max_new_tokens
+  }
+  EXPECT_EQ(retries, 1u);
 }
 
 TEST(DisaggTest, RetryBudgetExhaustsInsteadOfStorming) {

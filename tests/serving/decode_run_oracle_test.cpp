@@ -233,7 +233,6 @@ class ReferenceScheduler {
     retry.max_new_tokens -= victim.generated;
     retry.progress += victim.generated;
     retry.kv_migrated = false;
-    retry.cached_prefix_blocks = 0;
     waiting_.push_front(retry);
     ++stats_.preemptions;
   }

@@ -329,71 +329,63 @@ class PrefixCreditTest : public ::testing::Test {
                 LlmConfig::Llama2_7B()) {}
 
   static Request Req(SeqId id, std::size_t prompt,
-                     const PrefixSignature& prefix,
-                     std::size_t cached_blocks = 0) {
+                     const PrefixSignature& prefix) {
     Request r;
     r.id = id;
     r.prompt_tokens = prompt;
     r.max_new_tokens = 4;
     r.prefix = prefix;
-    r.cached_prefix_blocks = cached_blocks;
     return r;
   }
 
   ServingEngine engine_;
 };
 
-TEST_F(PrefixCreditTest, SubmitCreditSkipsPrefillComputeWhileResident) {
-  // A provider holds the 512-token preamble; the consumer arrives with the
-  // credit the router computed.  Its prefill charge shrinks to the suffix.
-  const PrefixSignature provider = MakePrefixSignature(1, 512, 1024, 16);
-  const PrefixSignature consumer = MakePrefixSignature(1, 512, 1024, 16);
-  ContinuousBatchScheduler cold(engine_, 256, 16);
-  cold.Submit(Req(1, 1024, provider));
-  const SchedulerStats cold_stats = cold.RunToCompletion();
-
-  ContinuousBatchScheduler warm(engine_, 256, 16);
-  warm.Submit(Req(1, 1024, provider));
-  warm.Submit(Req(2, 1024, consumer, /*cached_blocks=*/32));
-  const SchedulerStats warm_stats = warm.RunToCompletion();
-
-  // Two prompts for less than double the cold busy time: the consumer's
-  // shared 512 tokens were not re-prefilled.
-  EXPECT_LT(warm_stats.busy_seconds, 2 * cold_stats.busy_seconds);
-  EXPECT_EQ(warm_stats.prefix_hits, 1u);
-  EXPECT_DOUBLE_EQ(warm_stats.prefill_tokens_saved, 512.0);
-  EXPECT_EQ(cold_stats.prefix_hits, 0u);
-}
-
 TEST_F(PrefixCreditTest, StaleCreditIsNotHonored) {
-  // The router promised 32 cached blocks, but nothing is resident by
-  // admission (the holder freed): the promise is re-validated against the
-  // live index and the full prefill is charged.
+  // The provider prefills, retires and frees its blocks before the
+  // same-signature consumer is admitted: nothing is resident any more, so
+  // the consumer pays the full cold prefill.
   const PrefixSignature sig = MakePrefixSignature(1, 512, 1024, 16);
   ContinuousBatchScheduler cold(engine_, 256, 16);
   cold.Submit(Req(1, 1024, sig));
   const SchedulerStats cold_stats = cold.RunToCompletion();
 
   ContinuousBatchScheduler stale(engine_, 256, 16);
-  stale.Submit(Req(1, 1024, sig, /*cached_blocks=*/32));
+  stale.Submit(Req(1, 1024, sig));
+  const double provider_busy = stale.RunToCompletion().busy_seconds;
+  EXPECT_EQ(stale.pool().prefix_index().size(), 0u);
+  EXPECT_EQ(stale.pool().free_blocks(), stale.pool().total_blocks());
+  Request consumer = Req(2, 1024, sig);
+  consumer.arrival = stale.Now();
+  stale.Submit(consumer);
   const SchedulerStats stale_stats = stale.RunToCompletion();
-  EXPECT_DOUBLE_EQ(stale_stats.busy_seconds, cold_stats.busy_seconds);
+  EXPECT_EQ(stale_stats.completed, 2u);
   EXPECT_EQ(stale_stats.prefix_hits, 0u);
   EXPECT_DOUBLE_EQ(stale_stats.prefill_tokens_saved, 0.0);
+  EXPECT_NEAR(stale_stats.busy_seconds - provider_busy,
+              cold_stats.busy_seconds, 1e-12 * cold_stats.busy_seconds);
 }
 
 TEST_F(PrefixCreditTest, AdmissionRefreshesCreditFromLiveIndex) {
-  // Two same-preamble requests routed with NO credit: the second's prefill
-  // still reuses the first's resident blocks, because admission re-checks
-  // the live index (the routing-time snapshot predates the first prefill).
+  // Two same-preamble requests queued together: the second's prefill reuses
+  // the first's resident blocks, because admission looks the signature up
+  // in the live index (which the first prefill has just filled).
   const PrefixSignature a = MakePrefixSignature(1, 512, 1024, 16);
   const PrefixSignature b = MakePrefixSignature(1, 512, 1024, 16);
+  ContinuousBatchScheduler cold(engine_, 256, 16);
+  cold.Submit(Req(1, 1024, a));
+  const SchedulerStats cold_stats = cold.RunToCompletion();
+
   ContinuousBatchScheduler sched(engine_, 256, 16);
   sched.Submit(Req(1, 1024, a));
   sched.Submit(Req(2, 1024, b));
   const SchedulerStats stats = sched.RunToCompletion();
   EXPECT_EQ(stats.prefix_hits, 1u);  // the second request hit
   EXPECT_DOUBLE_EQ(stats.prefill_tokens_saved, 512.0);
+  EXPECT_EQ(cold_stats.prefix_hits, 0u);
+  // Two prompts for less than double the cold busy time: the consumer's
+  // shared 512 tokens were not re-prefilled.
+  EXPECT_LT(stats.busy_seconds, 2 * cold_stats.busy_seconds);
 }
 
 TEST_F(PrefixCreditTest, FullHitStillRecomputesLastToken) {
