@@ -1,6 +1,7 @@
 #include "cluster/cluster_sim.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 #include "obs/prof/wall_profiler.hpp"
@@ -73,8 +74,61 @@ std::size_t ClusterSimulator::AddReplica(const ReplicaSpec& spec) {
     router_.set_role_aware(true);
   }
   replicas_.push_back(std::move(r));
+  horizons_.push_back(kInf);
+  views_.emplace_back();
+  MarkDirty(replicas_.back());
   WireReplicaTelemetry(replicas_.back());
   return replicas_.back().id;
+}
+
+bool ClusterSimulator::StepsEveryReplica() const {
+  return trace_ != nullptr || metrics_ != nullptr ||
+         !autoscale_.pools.empty() || router_.slo().ttft_budget > 0;
+}
+
+void ClusterSimulator::MarkDirty(Replica& replica) {
+  if (replica.dirty) return;
+  replica.dirty = true;
+  dirty_.push_back(replica.id);
+}
+
+void ClusterSimulator::Refresh(Replica& replica) {
+  serving::ContinuousBatchScheduler& s = *replica.scheduler;
+  ReplicaView& v = views_[replica.id];
+  v.alive = replica.active;
+  v.role = replica.spec.role;
+  v.outstanding = s.outstanding();
+  v.free_kv_blocks = s.pool().free_blocks();
+  v.total_kv_blocks = s.pool().total_blocks();
+  v.prefix_index = &s.pool().prefix_index();
+  if (!replica.active) v.est_ttft_seconds = 0;
+  horizons_[replica.id] = !replica.active     ? kInf
+                          : StepsEveryReplica() ? -kInf
+                                                : s.Horizon();
+}
+
+void ClusterSimulator::FlushDirty() {
+  for (const std::size_t id : dirty_) {
+    replicas_[id].dirty = false;
+    Refresh(replicas_[id]);
+  }
+  dirty_.clear();
+}
+
+serving::ContinuousBatchScheduler& ClusterSimulator::Touch(Replica& replica) {
+  serving::ContinuousBatchScheduler& s = *replica.scheduler;
+#ifndef NDEBUG
+  const std::size_t done = s.completions().size();
+  const std::size_t handed = s.handoffs().size();
+  const std::size_t dropped = s.dropped_ids().size();
+#endif
+  s.StepUntil(now_);
+  // The horizon contract: a replica no event stepped has nothing to
+  // harvest at the fleet clock.
+  assert(s.completions().size() == done && s.handoffs().size() == handed &&
+         s.dropped_ids().size() == dropped);
+  MarkDirty(replica);
+  return s;
 }
 
 namespace {
@@ -122,6 +176,8 @@ void ClusterSimulator::AttachTelemetry(obs::TraceRecorder* trace,
   }
   metrics_ = metrics;
   if (metrics_ != nullptr) RegisterMetrics();
+  // Attaching switches every replica's horizon between the two pumps.
+  for (Replica& r : replicas_) MarkDirty(r);
 }
 
 void ClusterSimulator::RegisterMetrics() {
@@ -211,6 +267,7 @@ bool ClusterSimulator::RemoveReplica(std::size_t id) {
   if (id >= replicas_.size() || !replicas_[id].active) return false;
   if (ActiveReplicas() <= 1) return false;  // never strand in-flight work
   Replica& victim = replicas_[id];
+  Touch(victim);
   victim.active = false;
   router_.ForgetReplica(id);
   const double now = victim.scheduler->Now();
@@ -238,7 +295,7 @@ bool ClusterSimulator::RemoveReplica(std::size_t id) {
         best_compatible = compatible;
       }
     }
-    replicas_[best].scheduler->Submit(req);
+    Touch(replicas_[best]).Submit(req);
     ++replicas_[best].submitted;
     ++tally_.rerouted;
   }
@@ -289,10 +346,11 @@ bool ClusterSimulator::KillReplica(std::size_t id, double now) {
   // prefills it already handed off migrate normally (their KV is staged on
   // the wire, not in the dying pool).
   victim.scheduler->StepUntil(now);
-  HarvestCompletions();
-  HarvestHandoffs();
+  stepped_.push_back(id);
+  Harvest();
   victim.active = false;
   victim.killed = true;
+  MarkDirty(victim);
   router_.ForgetReplica(id);
   ++tally_.killed_replicas;
 
@@ -323,7 +381,8 @@ bool ClusterSimulator::DegradeReplica(std::size_t id, double slowdown_factor) {
   ++fleet_events_;
   Replica& victim = replicas_[id];
   const bool was_degraded = victim.scheduler->slowdown() > 1.0;
-  victim.scheduler->SetSlowdown(slowdown_factor);
+  // The iterations before the fleet clock run at the old speed.
+  Touch(victim).SetSlowdown(slowdown_factor);
   if (trace_ != nullptr) {
     trace_->Instant(obs::TraceEventType::kDegrade, FleetNow(), obs::kFleetPid,
                     obs::kTidChaos, id, static_cast<double>(id),
@@ -385,48 +444,57 @@ void ClusterSimulator::RetryLost(const serving::Request& lost, double now) {
 
 void ClusterSimulator::AdvanceTo(double deadline) {
   LIQUID_PROF_SCOPE("sim/advance");
-  for (Replica& r : replicas_) {
-    if (r.active) r.scheduler->StepUntil(deadline);
+  now_ = std::max(now_, deadline);
+  FlushDirty();
+  // A replica whose horizon is past the deadline would only move its clock
+  // and token counts; it stays behind until an event is due or the fleet
+  // touches it.  Not <: StepUntil(deadline) admits a head arriving at it.
+  for (std::size_t id = 0; id < horizons_.size(); ++id) {
+    if (horizons_[id] > deadline || !replicas_[id].active) continue;
+    Replica& r = replicas_[id];
+    r.scheduler->StepUntil(deadline);
+    Refresh(r);
+    stepped_.push_back(id);
   }
-  HarvestCompletions();
-  HarvestHandoffs();
+  Harvest();
 }
 
-void ClusterSimulator::HarvestCompletions() {
-  LIQUID_PROF_SCOPE("sim/harvest");
-  for (Replica& r : replicas_) {
-    const std::vector<serving::RequestTiming>& done =
-        r.scheduler->completions();
-    for (; r.harvested < done.size(); ++r.harvested) {
-      const serving::RequestTiming& t = done[r.harvested];
-      work_observed_ = true;
-      // The fleet-wide windows are fed only for their one reader, the
-      // metric gauges.
-      if (metrics_ != nullptr) {
-        ttft_window_.Add(t.finish, t.Ttft());
-        if (t.generated > 1) tpot_window_.Add(t.finish, t.Tpot());
-        tokens_window_.Add(t.finish, static_cast<double>(t.generated));
-        ttft_hist_->Add(t.Ttft());
-        if (t.generated > 1) tpot_hist_->Add(t.Tpot());
+void ClusterSimulator::Harvest() {
+  {
+    LIQUID_PROF_SCOPE("sim/harvest");
+    for (const std::size_t id : stepped_) {
+      Replica& r = replicas_[id];
+      const std::vector<serving::RequestTiming>& done =
+          r.scheduler->completions();
+      for (; r.harvested < done.size(); ++r.harvested) {
+        const serving::RequestTiming& t = done[r.harvested];
+        work_observed_ = true;
+        // The fleet-wide windows are fed only for their one reader, the
+        // metric gauges.
+        if (metrics_ != nullptr) {
+          ttft_window_.Add(t.finish, t.Ttft());
+          if (t.generated > 1) tpot_window_.Add(t.finish, t.Tpot());
+          tokens_window_.Add(t.finish, static_cast<double>(t.generated));
+          ttft_hist_->Add(t.Ttft());
+          if (t.generated > 1) tpot_hist_->Add(t.Tpot());
+        }
+        if (r.pool != kNoPool) {
+          // Role-typed pools watch their own streams: the TTFT window feeds
+          // prefill-style signals, the TPOT window decode-style ones.
+          PoolRuntime& runtime = pool_runtime_[r.pool];
+          runtime.ttft_window.Add(t.finish, t.Ttft());
+          if (t.generated > 1) runtime.tpot_window.Add(t.finish, t.Tpot());
+        }
+        inflight_.erase(t.id);
       }
-      if (r.pool != kNoPool) {
-        // Role-typed pools watch their own streams: the TTFT window feeds
-        // prefill-style signals, the TPOT window decode-style ones.
-        PoolRuntime& runtime = pool_runtime_[r.pool];
-        runtime.ttft_window.Add(t.finish, t.Ttft());
-        if (t.generated > 1) runtime.tpot_window.Add(t.finish, t.Tpot());
+      const std::vector<serving::SeqId>& dropped = r.scheduler->dropped_ids();
+      for (; r.drops_harvested < dropped.size(); ++r.drops_harvested) {
+        inflight_.erase(dropped[r.drops_harvested]);
       }
-      inflight_.erase(t.id);
-    }
-    const std::vector<serving::SeqId>& dropped = r.scheduler->dropped_ids();
-    for (; r.drops_harvested < dropped.size(); ++r.drops_harvested) {
-      inflight_.erase(dropped[r.drops_harvested]);
     }
   }
-}
-
-void ClusterSimulator::HarvestHandoffs() {
-  for (Replica& r : replicas_) {
+  for (const std::size_t id : stepped_) {
+    Replica& r = replicas_[id];
     const std::vector<serving::PrefillHandoff>& handoffs =
         r.scheduler->handoffs();
     for (; r.handoffs_harvested < handoffs.size(); ++r.handoffs_harvested) {
@@ -434,6 +502,7 @@ void ClusterSimulator::HarvestHandoffs() {
       PlanHandoff(r, handoffs[r.handoffs_harvested]);
     }
   }
+  stepped_.clear();
 }
 
 void ClusterSimulator::PlanHandoff(Replica& src,
@@ -529,7 +598,9 @@ void ClusterSimulator::DeliverContinuation(Replica& dst,
                                            const serving::KvExport& kv,
                                            double ready) {
   continuation.ready = ready;
-  if (dst.scheduler->AcceptMigrated(continuation, kv)) return;
+  // An import ahead of the fleet clock would reorder the blocks the
+  // destination's own iterations pop.
+  if (Touch(dst).AcceptMigrated(continuation, kv)) return;
   // The pool cannot hold the imported KV right now: reset to the original
   // request and recompute the prefill on `dst` — the already-generated first
   // token is wasted work.
@@ -567,35 +638,25 @@ void ClusterSimulator::ReleaseRetriesThrough(double deadline) {
 }
 
 const std::vector<ReplicaView>& ClusterSimulator::Views(
-    std::size_t prompt_tokens,
-    const serving::PrefixSignature* signature) const {
+    std::size_t prompt_tokens, const serving::PrefixSignature* signature) {
   LIQUID_PROF_SCOPE("router/views");
+  FlushDirty();
   // PredictTtft walks each replica's waiting queue; only pay for it when
   // admission control actually reads the estimate.
-  const bool want_estimate = router_.slo().ttft_budget > 0;
-  std::vector<ReplicaView>& views = views_scratch_;
-  views.assign(replicas_.size(), ReplicaView{});
+  if (router_.slo().ttft_budget <= 0) return views_;
   for (const Replica& r : replicas_) {
-    ReplicaView& v = views[r.id];
-    v.alive = r.active;
-    v.role = r.spec.role;
-    v.outstanding = r.scheduler->outstanding();
-    v.free_kv_blocks = r.scheduler->pool().free_blocks();
-    v.total_kv_blocks = r.scheduler->pool().total_blocks();
-    v.prefix_index = &r.scheduler->pool().prefix_index();
-    if (r.active && want_estimate) {
-      // Convert overlap to tokens with the SIGNATURE's block size (it need
-      // not match this pool's granularity).
-      const std::size_t cached_tokens =
-          signature == nullptr
-              ? 0
-              : v.prefix_index->SharedPrefixBlocks(signature->hashes) *
-                    static_cast<std::size_t>(signature->block_tokens);
-      v.est_ttft_seconds =
-          r.scheduler->PredictTtft(prompt_tokens, cached_tokens);
-    }
+    if (!r.active) continue;
+    ReplicaView& v = views_[r.id];
+    // Convert overlap to tokens with the SIGNATURE's block size (it need
+    // not match this pool's granularity).
+    const std::size_t cached_tokens =
+        signature == nullptr
+            ? 0
+            : v.prefix_index->SharedPrefixBlocks(signature->hashes) *
+                  static_cast<std::size_t>(signature->block_tokens);
+    v.est_ttft_seconds = r.scheduler->PredictTtft(prompt_tokens, cached_tokens);
   }
-  return views;
+  return views_;
 }
 
 std::optional<std::size_t> ClusterSimulator::RouteOne(
@@ -662,7 +723,7 @@ std::optional<std::size_t> ClusterSimulator::RouteOne(
       replicas_[dest].spec.role == ReplicaRole::kPrefill) {
     req.prefill_only = true;
   }
-  replicas_[dest].scheduler->Submit(req);
+  Touch(replicas_[dest]).Submit(req);
   ++replicas_[dest].submitted;
   inflight_[request.id] = request;
   ArmAutoscaleTick();  // new work: the periodic evaluation matters again
@@ -1022,11 +1083,12 @@ void ClusterSimulator::DrainToQuiescence() {
     for (Replica& r : replicas_) {
       if (r.active && r.scheduler->HasWork()) {
         r.scheduler->RunToCompletion();
+        MarkDirty(r);
+        stepped_.push_back(r.id);
         progressed = true;
       }
     }
-    HarvestCompletions();
-    HarvestHandoffs();
+    Harvest();
     for (;;) {
       const double t_mig = coordinator_.NextArrival().value_or(kInf);
       double t_retry = kInf;
@@ -1085,6 +1147,12 @@ FleetStats ClusterSimulator::Run(
   // working off its backlog, so there is work to lose), as do migrations
   // and backoff retries already on the calendar.
   ProcessEventsThrough(kInf);
+  // Replicas no event stepped are behind the last fleet deadline; bring
+  // them up so every clock (and so FleetNow) ends where a step of every
+  // replica at every event leaves it.
+  for (Replica& r : replicas_) {
+    if (r.active) Touch(r);
+  }
   DrainToQuiescence();
   SampleMetrics(FleetNow());
 

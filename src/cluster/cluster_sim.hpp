@@ -28,6 +28,33 @@
 // across every scale/kill/shed/migration event, with zero requests left in
 // migration at the end of a run.  Per-request timings from every replica
 // pool into FleetStats.
+//
+// The event pump.  A fleet event at time t (an arrival, kill, degrade,
+// migration landing, retry release or autoscale tick) steps only the
+// replicas whose Horizon() is <= t: a lower bound on the clock at which the
+// next iteration that can change anything the fleet reads (outstanding,
+// HasWork, free blocks, the prefix index, completions, handoffs, drops) may
+// start.  Every
+// other replica stays behind the fleet clock, and StepUntil(t) would only
+// have moved its clock and token counts.  Before the fleet mutates a
+// replica it brings it current with StepUntil(fleet clock) — a touch: the
+// route target before Submit (a retry replays its original arrival, which
+// an idle replica left behind would admit in the past), the migration or
+// drain destination before AcceptMigrated/Submit, the degrade victim before
+// SetSlowdown, the kill and removal victims, and, after the last event,
+// every replica once, so each ends on the clock a full step at every event
+// would give.  Completions and handoffs are harvested only from the
+// replicas an event stepped, in id order, and the routing views are kept
+// between decisions and refreshed only for the replicas stepped or touched
+// since the last one.
+//
+// Where every replica is still stepped at every event: with a TraceRecorder
+// or MetricsRegistry attached (the trace keeps event insertion order and
+// the metric windows their feed order), with autoscale pools (their signals
+// read every replica), and with an SLO budget (PredictTtft reads every
+// running sequence's progress).  There every horizon is -infinity, inside
+// the same loop; it is the one place the two paths differ.  Results are
+// identical either way.
 
 #include <cstddef>
 #include <cstdint>
@@ -204,9 +231,12 @@ class ClusterSimulator {
     degrade_schedule_.push_back(degrade);
   }
 
-  /// Advances every active replica to `deadline` on the shared clock,
-  /// harvests new completions into the TTFT window, and schedules KV
-  /// migrations for freshly finished prefills.
+  /// Advances the shared clock to `deadline`: steps every active replica
+  /// whose horizon is due (see the header comment; every active replica
+  /// when telemetry, autoscale pools or an SLO budget are set), harvests
+  /// its new completions, and schedules KV migrations for freshly finished
+  /// prefills.  Every value the fleet reads is then what stepping every
+  /// replica to `deadline` would give.
   void AdvanceTo(double deadline);
 
   /// Routes one request at its arrival time.  Returns the chosen replica id;
@@ -267,6 +297,8 @@ class ClusterSimulator {
     std::size_t harvested = 0;  ///< completions already pulled into the window
     std::size_t drops_harvested = 0;    ///< scheduler drops already observed
     std::size_t handoffs_harvested = 0; ///< prefill handoffs already planned
+    /// Stepped or mutated since its view and horizon were last refreshed.
+    bool dirty = false;
   };
 
   /// Per-pool windowed-signal state (parallel to AutoscaleConfig::pools).
@@ -297,15 +329,27 @@ class ClusterSimulator {
     serving::TimedRequest request;
   };
 
-  /// Snapshots every replica for a routing decision.  `signature` (when
+  /// The routing views of every replica, by id, for one decision: the
+  /// kept views with the dirty replicas refreshed.  `signature` (when
   /// given) lets the TTFT estimate price the prefix-cache discount at each
   /// replica; the views also expose each pool's PrefixIndex for the
-  /// router's overlap term.  Returns a reference to a member scratch buffer
-  /// (routing runs once per fleet event — a heap allocation per decision was
-  /// the hot path's last per-event allocation); valid until the next call.
+  /// router's overlap term.  Valid until the next fleet mutation.
   [[nodiscard]] const std::vector<ReplicaView>& Views(
       std::size_t prompt_tokens,
-      const serving::PrefixSignature* signature = nullptr) const;
+      const serving::PrefixSignature* signature = nullptr);
+  /// Telemetry, autoscale pools or an SLO budget read every replica at
+  /// every event, so every horizon is -infinity (see the header comment).
+  [[nodiscard]] bool StepsEveryReplica() const;
+  /// Queues the replica's view and horizon for a refresh.
+  void MarkDirty(Replica& replica);
+  /// Re-reads the replica's view and horizon from its scheduler.
+  void Refresh(Replica& replica);
+  /// Refreshes every dirty replica.
+  void FlushDirty();
+  /// Brings the replica to the fleet clock before the fleet mutates it
+  /// (StepUntil(now_), which by the horizon contract changes nothing the
+  /// fleet reads) and marks it dirty.  Returns its scheduler.
+  serving::ContinuousBatchScheduler& Touch(Replica& replica);
   /// The engine of an earlier replica with the same pricing inputs as
   /// `spec`, or a new one appended to engines_.
   std::shared_ptr<const serving::ServingEngine> EngineFor(
@@ -320,9 +364,10 @@ class ClusterSimulator {
   /// attempt — scheduling the re-route after backoff — or abandons the
   /// request when the budget is gone.
   void RetryLost(const serving::Request& lost, double now);
-  void HarvestCompletions();
-  /// Plans migrations for freshly harvested prefill handoffs.
-  void HarvestHandoffs();
+  /// Pulls new completions and drops, then plans migrations for new
+  /// prefill handoffs, from the replicas in stepped_ (in id order), and
+  /// empties it.  A replica no event stepped has nothing new.
+  void Harvest();
   void PlanHandoff(Replica& src, const serving::PrefillHandoff& handoff);
   /// Delivers a continuation + KV to `dst`'s scheduler; on import OOM the
   /// request is reset to original form and recomputes there (wasting its
@@ -444,8 +489,17 @@ class ClusterSimulator {
   /// migration landings, kills, degrades, autoscale ticks.  Deterministic
   /// under a fixed seed (counts simulated work, not wall time).
   std::uint64_t fleet_events_ = 0;
-  /// Views() scratch: one routing snapshot, rebuilt per decision in place.
-  mutable std::vector<ReplicaView> views_scratch_;
+  /// The fleet clock: the latest AdvanceTo deadline.  A touch steps a
+  /// replica to it.
+  double now_ = 0;
+  /// Per replica id: its horizon (+infinity once inactive, -infinity while
+  /// StepsEveryReplica()) and its routing view, both as of its last refresh.
+  std::vector<double> horizons_;
+  std::vector<ReplicaView> views_;
+  /// Replicas to refresh before the next read of horizons_ or views_.
+  std::vector<std::size_t> dirty_;
+  /// Replicas stepped since the last Harvest, in id order.
+  std::vector<std::size_t> stepped_;
   // Telemetry (null = detached; every hook is one branch when detached).
   obs::TraceRecorder* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

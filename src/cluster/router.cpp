@@ -1,5 +1,7 @@
 #include "cluster/router.hpp"
 
+#include <algorithm>
+
 #include "obs/prof/wall_profiler.hpp"
 
 namespace liquid::cluster {
@@ -116,29 +118,26 @@ const char* ToString(ReplicaRole role) {
   return "?";
 }
 
-std::vector<ReplicaView> Router::PromptEligible(
-    const std::vector<ReplicaView>& replicas) const {
-  std::vector<ReplicaView> masked = replicas;
-  if (!role_aware_) return masked;
+unsigned Router::PromptRoles(const std::vector<ReplicaView>& replicas,
+                             std::size_t dead) const {
+  constexpr unsigned kAll = RoleBit(ReplicaRole::kUnified) |
+                            RoleBit(ReplicaRole::kPrefill) |
+                            RoleBit(ReplicaRole::kDecode);
+  if (!role_aware_) return kAll;
   bool any_prefill = false, any_unified = false;
-  for (const ReplicaView& v : replicas) {
-    if (!v.alive) continue;
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const ReplicaView& v = replicas[i];
+    if (!v.alive || i == dead) continue;
     any_prefill |= v.role == ReplicaRole::kPrefill;
     any_unified |= v.role == ReplicaRole::kUnified;
   }
-  for (ReplicaView& v : masked) {
-    if (!v.alive) continue;
-    if (any_prefill) {
-      // A live prefill pool owns every fresh prompt.
-      v.alive = v.role == ReplicaRole::kPrefill;
-    } else if (any_unified) {
-      // Prefill pool empty: unified replicas take over; decode replicas
-      // still never see a prompt while a unified one lives.
-      v.alive = v.role != ReplicaRole::kDecode;
-    }
-    // Only decode replicas left: last resort, they serve prompts unified.
-  }
-  return masked;
+  // A live prefill pool owns every fresh prompt.
+  if (any_prefill) return RoleBit(ReplicaRole::kPrefill);
+  // Prefill pool empty: unified replicas take over; decode replicas still
+  // never see a prompt while a unified one lives.
+  if (any_unified) return kAll & ~RoleBit(ReplicaRole::kDecode);
+  // Only decode replicas left: last resort, they serve prompts unified.
+  return kAll;
 }
 
 double Router::TermValue(ScoreTerm term, const ScoreInput& input,
@@ -155,17 +154,14 @@ double Router::TermValue(ScoreTerm term, const ScoreInput& input,
       return -static_cast<double>(v.outstanding);
     case ScoreTerm::kFreeKv:
       return static_cast<double>(v.free_kv_blocks);
-    case ScoreTerm::kAffinity: {
-      const auto& pins = input.decode_mode ? decode_affinity_ : affinity_;
-      const auto pin = pins.find(input.session);
-      if (pin == pins.end() || pin->second != i) return 0;
+    case ScoreTerm::kAffinity:
+      if (i != input.pinned) return 0;
       // A decode pin only counts while its replica has KV headroom for the
       // incoming continuation.
       if (input.decode_mode && v.free_kv_blocks < input.min_free_blocks) {
         return 0;
       }
       return 1;
-    }
     case ScoreTerm::kPrefixOverlap: {
       if (input.prefix == nullptr || input.prefix->empty() ||
           v.prefix_index == nullptr) {
@@ -187,85 +183,93 @@ double Router::TermValue(ScoreTerm term, const ScoreInput& input,
 }
 
 std::optional<std::size_t> Router::ScoreRoute(
-    const ScoreInput& input, const std::vector<ReplicaView>& replicas,
+    ScoreInput input, const std::vector<ReplicaView>& replicas,
     const ScorerPipeline& pipeline, RouteExplain* explain) {
   LIQUID_PROF_SCOPE("router/score");
   if (replicas.empty()) return std::nullopt;
-  bool rotates = false, pins = false;
+  bool rotates = false, pins = false, reads_pin = false;
   for (const ScorerSpec& spec : pipeline) {
     rotates |= spec.term == ScoreTerm::kRotation && spec.weight > 0;
     pins |= spec.term == ScoreTerm::kAffinity && spec.weight > 0;
+    reads_pin |= spec.term == ScoreTerm::kAffinity;
   }
   // The cursor can be stale relative to this call's view vector (replicas
   // removed since the last decision); re-anchor it before scoring.
   if (rotates) rr_cursor_ %= replicas.size();
   const std::size_t cursor = rr_cursor_;
+  auto& pin_map = input.decode_mode ? decode_affinity_ : affinity_;
+  if (reads_pin) {
+    const auto pin = pin_map.find(input.session);
+    if (pin != pin_map.end()) input.pinned = pin->second;
+  }
 
-  std::optional<std::size_t> best;
-  double best_score = 0;
-  // Term readings for the candidate being scored; captured inside the loop
-  // because the cursor and affinity pins mutate after the argmax.
-  double term_values[16];
-  const std::size_t nterms = std::min<std::size_t>(pipeline.size(), 16);
+  candidates_.clear();
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     const ReplicaView& v = replicas[i];
-    if (!v.alive) continue;
-    if (input.decode_mode && v.role == ReplicaRole::kPrefill) continue;
-    double score = 0;
-    for (std::size_t j = 0; j < pipeline.size(); ++j) {
-      const ScorerSpec& spec = pipeline[j];
-      // Per-term wall cost: ToString returns static literals, which is what
-      // the profiler's name-pointer tree requires.
-      LIQUID_PROF_SCOPE(ToString(spec.term));
-      const double value = TermValue(spec.term, input, replicas, i, cursor);
-      if (explain != nullptr && j < nterms) term_values[j] = value;
-      score += spec.weight * value;
-    }
-    if (!best || score > best_score) {
-      best = i;
-      best_score = score;
-      if (explain != nullptr) {
-        explain->terms.clear();
-        for (std::size_t j = 0; j < nterms; ++j) {
-          explain->terms.push_back(
-              {pipeline[j].term, pipeline[j].weight, term_values[j]});
-        }
-        explain->score = score;
-      }
+    if (v.alive && (input.roles & RoleBit(v.role)) != 0) {
+      candidates_.push_back(i);
     }
   }
-  if (!best) return std::nullopt;
+  if (candidates_.empty()) return std::nullopt;
+  // Term-major: each term adds weight * value into every candidate's score
+  // in pipeline order, so each score is the same sum a replica-major loop
+  // would form.
+  scores_.assign(candidates_.size(), 0.0);
+  for (const ScorerSpec& spec : pipeline) {
+    // Per-term wall cost: ToString returns static literals, which is what
+    // the profiler's name-pointer tree requires.
+    LIQUID_PROF_SCOPE(ToString(spec.term));
+    for (std::size_t c = 0; c < candidates_.size(); ++c) {
+      scores_[c] += spec.weight * TermValue(spec.term, input, replicas,
+                                            candidates_[c], cursor);
+    }
+  }
+  // Ties break toward the lowest index: only a strictly higher score wins.
+  std::size_t win = 0;
+  for (std::size_t c = 1; c < candidates_.size(); ++c) {
+    if (scores_[c] > scores_[win]) win = c;
+  }
+  const std::size_t best = candidates_[win];
+  if (explain != nullptr) {
+    // Read before the cursor and the pins move below.
+    explain->terms.clear();
+    const std::size_t nterms = std::min<std::size_t>(pipeline.size(), 16);
+    for (std::size_t j = 0; j < nterms; ++j) {
+      explain->terms.push_back(
+          {pipeline[j].term, pipeline[j].weight,
+           TermValue(pipeline[j].term, input, replicas, best, cursor)});
+    }
+    explain->score = scores_[win];
+  }
   // Post-decision updates belong to the terms that participated: rotation
   // advances its cursor, affinity (re)pins the session.
-  if (rotates) rr_cursor_ = (*best + 1) % replicas.size();
-  if (pins) {
-    (input.decode_mode ? decode_affinity_ : affinity_)[input.session] = *best;
-  }
+  if (rotates) rr_cursor_ = (best + 1) % replicas.size();
+  if (pins) pin_map[input.session] = best;
   return best;
+}
+
+std::optional<std::size_t> Router::RouteAmong(
+    const serving::TimedRequest& request,
+    const std::vector<ReplicaView>& replicas, unsigned roles,
+    RouteExplain* explain) {
+  ScoreInput input;
+  input.session = request.session;
+  input.prefix = &request.prefix;
+  input.roles = roles;
+  // Prompts go to the least-loaded prefill replica regardless of the
+  // configured pipeline: prefill work is prompt-length bound and leaves
+  // quickly, so queue depth is the right signal there.
+  if (roles == RoleBit(ReplicaRole::kPrefill)) {
+    static const ScorerPipeline kPrefillPool = {{ScoreTerm::kLoad, 1.0}};
+    return ScoreRoute(input, replicas, kPrefillPool, explain);
+  }
+  return ScoreRoute(input, replicas, pipeline_, explain);
 }
 
 std::optional<std::size_t> Router::Route(
     const serving::TimedRequest& request,
     const std::vector<ReplicaView>& replicas, RouteExplain* explain) {
-  ScoreInput input;
-  input.session = request.session;
-  input.prefix = &request.prefix;
-  if (role_aware_) {
-    const std::vector<ReplicaView> eligible = PromptEligible(replicas);
-    bool any_prefill = false;
-    for (const ReplicaView& v : eligible) {
-      any_prefill |= v.alive && v.role == ReplicaRole::kPrefill;
-    }
-    // Prompts go to the least-loaded prefill replica regardless of the
-    // configured pipeline: prefill work is prompt-length bound and leaves
-    // quickly, so queue depth is the right signal there.
-    if (any_prefill) {
-      static const ScorerPipeline kPrefillPool = {{ScoreTerm::kLoad, 1.0}};
-      return ScoreRoute(input, eligible, kPrefillPool, explain);
-    }
-    return ScoreRoute(input, eligible, pipeline_, explain);
-  }
-  return ScoreRoute(input, replicas, pipeline_, explain);
+  return RouteAmong(request, replicas, PromptRoles(replicas), explain);
 }
 
 RouteDecision Router::Decide(const serving::TimedRequest& request,
@@ -273,7 +277,9 @@ RouteDecision Router::Decide(const serving::TimedRequest& request,
                              RouteExplain* explain) {
   LIQUID_PROF_SCOPE("router/decide");
   RouteDecision decision;
-  const std::optional<std::size_t> placed = Route(request, replicas, explain);
+  const unsigned roles = PromptRoles(replicas);
+  const std::optional<std::size_t> placed =
+      RouteAmong(request, replicas, roles, explain);
   if (!placed) return decision;  // kNoReplica
   decision.outcome = RouteOutcome::kRouted;
   decision.replica = placed;
@@ -286,25 +292,23 @@ RouteDecision Router::Decide(const serving::TimedRequest& request,
   // The pipeline's pick busts the budget — maybe it optimized for something
   // else (affinity, KV headroom, prefix reuse).  Fall back to the lowest-
   // predicted-TTFT prompt-eligible replica before giving up on the request.
-  const std::vector<ReplicaView> eligible =
-      role_aware_ ? PromptEligible(replicas) : replicas;
   std::optional<std::size_t> best;
-  for (std::size_t i = 0; i < eligible.size(); ++i) {
-    if (!eligible[i].alive) continue;
-    if (!best ||
-        eligible[i].est_ttft_seconds < eligible[*best].est_ttft_seconds) {
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const ReplicaView& v = replicas[i];
+    if (!v.alive || (roles & RoleBit(v.role)) == 0) continue;
+    if (!best || v.est_ttft_seconds < replicas[*best].est_ttft_seconds) {
       best = i;
     }
   }
-  if (best && eligible[*best].est_ttft_seconds <= ceiling) {
+  if (best && replicas[*best].est_ttft_seconds <= ceiling) {
     decision.replica = best;
-    decision.predicted_ttft = eligible[*best].est_ttft_seconds;
+    decision.predicted_ttft = replicas[*best].est_ttft_seconds;
     if (explain != nullptr && *best != *placed) explain->slo_fallback = true;
     return decision;
   }
   decision.outcome = RouteOutcome::kRejected;
   decision.replica = std::nullopt;
-  if (best) decision.predicted_ttft = eligible[*best].est_ttft_seconds;
+  if (best) decision.predicted_ttft = replicas[*best].est_ttft_seconds;
   return decision;
 }
 
@@ -317,19 +321,23 @@ std::optional<std::size_t> Router::RouteDecode(
   input.prefix = prefix;
   input.decode_mode = true;
   input.min_free_blocks = min_free_blocks;
+  // Continuations never land on a prefill-specialized replica.
+  input.roles =
+      RoleBit(ReplicaRole::kUnified) | RoleBit(ReplicaRole::kDecode);
   return ScoreRoute(input, replicas, decode_pipeline_);
 }
 
 bool Router::ScaleDownSafe(const std::vector<ReplicaView>& replicas,
                            std::size_t victim) const {
   if (slo_.ttft_budget <= 0) return true;
-  std::vector<ReplicaView> survivors = replicas;
-  if (victim < survivors.size()) survivors[victim].alive = false;
-  const std::vector<ReplicaView> eligible =
-      role_aware_ ? PromptEligible(survivors) : survivors;
+  const unsigned roles = PromptRoles(replicas, victim);
   const double ceiling = slo_.ttft_budget * slo_.reject_above;
-  for (const ReplicaView& v : eligible) {
-    if (v.alive && v.est_ttft_seconds <= ceiling) return true;
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const ReplicaView& v = replicas[i];
+    if (v.alive && i != victim && (roles & RoleBit(v.role)) != 0 &&
+        v.est_ttft_seconds <= ceiling) {
+      return true;
+    }
   }
   return false;
 }

@@ -1,7 +1,8 @@
 #pragma once
-// Request router for the multi-replica serving cluster.  At each arrival the
-// ClusterSimulator snapshots every replica's load into ReplicaView and asks
-// the router for a destination.
+// Request router for the multi-replica serving cluster.  The
+// ClusterSimulator keeps one ReplicaView per replica, refreshed whenever the
+// replica is stepped or changed, and at each arrival asks the router for a
+// destination over those views.
 //
 // Placement is a SCORING PIPELINE: a weighted sum of orthogonal terms
 // (rotation fairness, queue depth, free KV, session affinity, shared
@@ -255,29 +256,47 @@ class Router {
   }
 
  private:
+  /// A set of replica roles, one bit per ReplicaRole.
+  static constexpr unsigned RoleBit(ReplicaRole role) {
+    return 1u << static_cast<unsigned>(role);
+  }
+
   /// Everything a scoring pass needs beyond the views.
   struct ScoreInput {
     std::uint64_t session = 0;
     const serving::PrefixSignature* prefix = nullptr;
     bool decode_mode = false;  ///< decode pin map + role-preference semantics
     std::size_t min_free_blocks = 0;  ///< decode pin headroom gate
+    /// Roles an alive replica must have to be scored (RoleBit set).
+    unsigned roles = ~0u;
+    /// The replica the session is pinned to in the mode's pin map, looked
+    /// up once per decision (npos = unpinned).
+    std::size_t pinned = static_cast<std::size_t>(-1);
   };
 
   /// Runs one pipeline over the views: argmax of the weighted term sum over
   /// eligible replicas (ties toward the lowest index), then applies the
   /// post-decision state updates owned by the participating terms (rotation
-  /// cursor, affinity pins).
+  /// cursor, affinity pins).  Scores term-major: one pass per term over the
+  /// candidates, then one argmax pass; RouteExplain is read for the winner.
   [[nodiscard]] std::optional<std::size_t> ScoreRoute(
-      const ScoreInput& input, const std::vector<ReplicaView>& replicas,
+      ScoreInput input, const std::vector<ReplicaView>& replicas,
       const ScorerPipeline& pipeline, RouteExplain* explain = nullptr);
   [[nodiscard]] double TermValue(ScoreTerm term, const ScoreInput& input,
                                  const std::vector<ReplicaView>& replicas,
                                  std::size_t i, std::size_t cursor) const;
-  /// Masks out replicas a fresh prompt must not land on: with role_aware(),
-  /// decode replicas are ineligible while any unified replica is alive, and
-  /// every non-prefill replica is ineligible while a prefill replica lives.
-  [[nodiscard]] std::vector<ReplicaView> PromptEligible(
-      const std::vector<ReplicaView>& replicas) const;
+  /// The roles a fresh prompt may land on, treating replica `dead` as not
+  /// alive: with role_aware(), only prefill replicas while one is alive,
+  /// else everything but decode replicas while a unified one is alive,
+  /// else every role (decode replicas as the last resort).
+  [[nodiscard]] unsigned PromptRoles(
+      const std::vector<ReplicaView>& replicas,
+      std::size_t dead = static_cast<std::size_t>(-1)) const;
+  /// Route restricted to replicas whose role is in `roles`.
+  [[nodiscard]] std::optional<std::size_t> RouteAmong(
+      const serving::TimedRequest& request,
+      const std::vector<ReplicaView>& replicas, unsigned roles,
+      RouteExplain* explain);
 
   RoutePolicy policy_;
   SloConfig slo_;
@@ -285,6 +304,10 @@ class Router {
   ScorerPipeline decode_pipeline_;
   bool role_aware_ = false;
   std::size_t rr_cursor_ = 0;
+  /// ScoreRoute scratch: the eligible replica indices in index order, and
+  /// their scores.
+  std::vector<std::size_t> candidates_;
+  std::vector<double> scores_;
   /// Determinism audit for both affinity maps: keyed lookup/pin writes on
   /// the routing path; the only iteration is ForgetReplica's erase-only
   /// sweep (suppressed there with a reason — visit order decides nothing).

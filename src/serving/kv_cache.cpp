@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -154,6 +155,17 @@ std::size_t KvBlockManager::CoveredRounds(std::span<const std::uint32_t> slots,
     (need(mid) <= free_blocks() ? lo : hi) = mid;
   }
   return lo;
+}
+
+std::size_t KvBlockManager::TailRoom(
+    std::span<const std::uint32_t> slots) const {
+  // AppendTokens takes a sequence's first block at round room + 1.
+  std::size_t room = std::numeric_limits<std::size_t>::max();
+  for (const std::uint32_t slot : slots) {
+    const Sequence& seq = slab_[slot];
+    room = std::min(room, seq.blocks.size() * block_tokens_ - seq.tokens);
+  }
+  return room;
 }
 
 bool KvBlockManager::AppendTokens(std::span<const std::uint32_t> slots,

@@ -186,6 +186,11 @@ class KvBlockManager {
   /// on the blocks free now.
   [[nodiscard]] std::size_t CoveredRounds(std::span<const std::uint32_t> slots,
                                           std::size_t limit) const;
+  /// The largest k for which AppendTokens(slots, k) takes no block: the
+  /// least free room in any of the sequences' tail blocks (0 when one is
+  /// full).  Those rounds leave the free list, and so free_blocks(), as is.
+  [[nodiscard]] std::size_t TailRoom(
+      std::span<const std::uint32_t> slots) const;
 
   /// Releases a sequence; all its blocks return to the free list.
   void Free(SeqId id);

@@ -24,12 +24,14 @@ void ContinuousBatchScheduler::Submit(Request request) {
                        request.id, static_cast<double>(trace_pid_ - 1));
   }
   waiting_.push_back({request});
+  run_state_ = RunState::kStale;  // the head may be new
 }
 
 bool ContinuousBatchScheduler::AcceptMigrated(Request request,
                                               const KvExport& kv) {
   if (!pool_.Import(kv)) return false;
   request.kv_migrated = true;
+  run_state_ = RunState::kStale;  // the import took free blocks
   if (trace_ != nullptr) {
     trace_->AsyncBegin(obs::TraceEventType::kStageQueued,
                        std::max(stats_.simulated_seconds,
@@ -231,6 +233,8 @@ void ContinuousBatchScheduler::Handoff(const Running& done) {
 
 bool ContinuousBatchScheduler::Step() {
   LIQUID_PROF_SCOPE("engine/step");
+  // The batch, the queue and the free list may change below.
+  run_state_ = RunState::kStale;
   // If idle and the head request is in the future, fast-forward the clock.
   if (running_.empty() && !waiting_.empty() &&
       waiting_.front().request.EffectiveArrival() > stats_.simulated_seconds) {
@@ -395,60 +399,104 @@ const ServingEngine::DecodePricer& ContinuousBatchScheduler::PricerFor(
   return pricer_;
 }
 
-bool ContinuousBatchScheduler::DecodeRun(double deadline) {
+bool ContinuousBatchScheduler::OpenRun() {
+  if (run_state_ != RunState::kStale) return run_state_ == RunState::kOpen;
+  run_state_ = RunState::kRefused;
   if (running_.empty()) return false;
   // Admit takes the head once the clock reaches its arrival, unless the
   // batch is full or the pool cannot fit it; neither changes before a
   // retirement (the run's appends only shrink the free list).
-  double admit_at = std::numeric_limits<double>::infinity();
+  run_.admit_at = std::numeric_limits<double>::infinity();
   if (!waiting_.empty() && running_.size() < max_batch_) {
     const Request& head = waiting_.front().request;
     const std::size_t need =
         head.kv_migrated && pool_.HasSequence(head.id)
             ? 1
             : pool_.BlocksNeeded(head.prompt_tokens) + 1;
-    if (pool_.CanAllocate(need)) admit_at = head.EffectiveArrival();
+    if (pool_.CanAllocate(need)) run_.admit_at = head.EffectiveArrival();
   }
-  if (admit_at <= stats_.simulated_seconds) return false;
+  if (run_.admit_at <= stats_.simulated_seconds) return false;
 
   // Every sequence decodes in every iteration of the run, and none reaches
   // its retirement: the run is at most `left` - 1 iterations, `left` being
   // the fewest tokens any sequence has left.  Nor does one reach its first
   // token or a handoff: Step leaves every decode-ready sequence with its
   // first token, and hands a prefill-only one off at it.
-  std::size_t left = std::numeric_limits<std::size_t>::max();
-  std::size_t len_sum = 0;
+  run_.left = std::numeric_limits<std::size_t>::max();
+  run_.len_sum = 0;
   run_slots_.clear();
   for (const Running& r : running_) {
     if (r.prefill_remaining > 0) return false;
     assert(r.request.first_token_time >= 0 && !r.request.prefill_only);
-    left = std::min(left, r.request.max_new_tokens - r.generated);
-    len_sum += r.request.prompt_tokens + r.generated;
+    run_.left = std::min(run_.left, r.request.max_new_tokens - r.generated);
+    run_.len_sum += r.request.prompt_tokens + r.generated;
     assert(pool_.Slot(r.request.id) == r.slot);
     run_slots_.push_back(r.slot);
   }
-  if (left < 2) return false;
+  if (run_.left < 2) return false;
   // The iteration whose appends the free list cannot cover preempts: leave
   // it to Step.
-  const std::size_t max_k = pool_.CoveredRounds(run_slots_, left - 1);
-  if (max_k == 0) return false;
+  run_.covered = pool_.CoveredRounds(run_slots_, run_.left - 1);
+  if (run_.covered == 0) return false;
+  run_.room = kUnknownRoom;
+  run_.next_seconds = -1;
+  run_state_ = RunState::kOpen;
+  return true;
+}
 
+double ContinuousBatchScheduler::Horizon() {
+  const double now = stats_.simulated_seconds;
+  if (running_.empty()) {
+    // Idle: the next Step fast-forwards to the head and admits or drops it.
+    return waiting_.empty() ? std::numeric_limits<double>::infinity()
+                            : waiting_.front().request.EffectiveArrival();
+  }
+  if (!OpenRun()) return now;
+  // Iteration j of the run (from 0) retires a sequence at j = left - 1 and
+  // first takes a block at j = the least tail room; every iteration before
+  // both changes only the clock and the token counts.
+  if (run_.room == kUnknownRoom) run_.room = pool_.TailRoom(run_slots_);
+  const std::size_t quiet = std::min(run_.left - 1, run_.room);
+  // Iteration j costs DecodePricer::Seconds(kv_len + j), which is
+  // non-decreasing in the KV length: it combines non-negative constants
+  // and one term linear in the length by +, * and / only, and rounding
+  // each operation is monotone.  So is each += of the clock, so adding the
+  // first iteration's cost `quiet` times bounds the start of iteration
+  // `quiet` from below, from the one price DecodeRun then reuses.
+  double start = now;
+  if (quiet > 0 && run_.next_seconds < 0) {
+    run_.next_seconds = PricerFor(running_.size()).Seconds(run_.len_sum /
+                                                           running_.size()) *
+                        slowdown_;
+  }
+  for (std::size_t j = 0; j < quiet && start < run_.admit_at; ++j) {
+    start += run_.next_seconds;
+  }
+  return std::min(run_.admit_at, start);
+}
+
+bool ContinuousBatchScheduler::DecodeRun(double deadline) {
+  if (!OpenRun()) return false;
   LIQUID_PROF_SCOPE("engine/step/decode");
   const std::size_t n = running_.size();
   const ServingEngine::DecodePricer& pricer = PricerFor(n);
   const double batch = static_cast<double>(n);
   // Step costs each iteration at the floor of the mean length, which grows
   // by exactly one per iteration since every sequence gains one token.
+  const std::size_t len_sum = run_.len_sum;
   const std::size_t kv_len = len_sum / n;
   // StepUntil stops at the deadline, and Admit takes the head at admit_at.
-  const double stop = std::min(deadline, admit_at);
+  const double stop = std::min(deadline, run_.admit_at);
   obs::TraceRecorder* const trace = trace_;
   double clock = stats_.simulated_seconds;
   double busy = stats_.busy_seconds;
   double generated = stats_.generated_tokens;
   std::size_t k = 0;
-  while (k < max_k && clock < stop) {
-    const double decode = pricer.Seconds(kv_len + k) * slowdown_;
+  while (k < run_.covered && clock < stop) {
+    // The first iteration's price may be Horizon's, not priced again.
+    const double decode = k == 0 && run_.next_seconds >= 0
+                              ? run_.next_seconds
+                              : pricer.Seconds(kv_len + k) * slowdown_;
     if (trace != nullptr) {
       trace->Span(obs::TraceEventType::kDecodeStep, clock, decode, trace_pid_,
                   obs::kTidEngine, /*id=*/0, batch,
@@ -467,6 +515,17 @@ bool ContinuousBatchScheduler::DecodeRun(double deadline) {
   stats_.busy_seconds = busy;
   stats_.generated_tokens = generated;
   stats_.iterations += k;
+  // The run stays open: every sequence is k tokens further on, and the
+  // free list covers k fewer rounds.
+  run_.left -= k;
+  run_.len_sum += k * n;
+  run_.covered -= k;
+  run_.room = run_.room != kUnknownRoom && run_.room >= k ? run_.room - k
+                                                          : kUnknownRoom;
+  run_.next_seconds = -1;
+  if (run_.left < 2 || run_.covered == 0 || run_.admit_at <= clock) {
+    run_state_ = RunState::kRefused;
+  }
   return true;
 }
 
@@ -486,6 +545,7 @@ void ContinuousBatchScheduler::StepUntil(double deadline) {
 }
 
 std::vector<Request> ContinuousBatchScheduler::Drain() {
+  run_state_ = RunState::kStale;
   std::vector<Request> out;
   out.reserve(running_.size() + waiting_.size());
   if (trace_ != nullptr) {
@@ -519,6 +579,7 @@ std::vector<Request> ContinuousBatchScheduler::Drain() {
 }
 
 ContinuousBatchScheduler::ForfeitedWork ContinuousBatchScheduler::Forfeit() {
+  run_state_ = RunState::kStale;
   ForfeitedWork out;
   out.requests.reserve(running_.size() + waiting_.size());
   if (trace_ != nullptr) {

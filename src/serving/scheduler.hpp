@@ -42,6 +42,26 @@
 // iterations the free list covers, so an iteration whose append would
 // preempt is still a plain Step.  Stats, completions, traces (one
 // kDecodeStep span per iteration) and every block id are those of k Steps.
+//
+// The run stays open across StepUntil calls: its shape (the head's
+// admission time, the fewest tokens left, the rounds the free list covers)
+// is kept until something other than a run changes the batch, the queue or
+// the free list, so the next call resumes it without a rescan.
+//
+// The horizon.  A fleet reads a replica through outstanding(), HasWork(),
+// the free block count, the prefix index and the completion, handoff and
+// drop logs; a decode run changes none of them until an iteration retires a
+// sequence or takes a block.  The horizon is the clock at which the first
+// iteration that may change one of them can start: the start of run
+// iteration min(left - 1, least tail-block room), capped at the admissible
+// head's arrival; an idle replica's head arrival (infinity with an empty
+// queue); and the clock itself whenever the next iteration needs a plain
+// Step.  StepUntil(t) for any t below the horizon therefore leaves every
+// fleet-read value as it was, and the run is the same iterations whether
+// it is reached in one StepUntil or in several.  An earlier horizon is
+// always safe.  Horizon() returns a lower bound priced from the run's next
+// iteration alone (a decode step costs no less at a longer KV length), and
+// DecodeRun reuses that price, so each iteration is still priced once.
 
 #include <cstddef>
 #include <cstdint>
@@ -179,6 +199,12 @@ class ContinuousBatchScheduler {
   /// may overshoot the deadline (discrete-event semantics).
   void StepUntil(double deadline);
 
+  /// A lower bound on the horizon (see the header comment): StepUntil to
+  /// any earlier clock changes only the clock, the token counts and the
+  /// stats.  Infinity when the replica has no work.  Not const: it opens
+  /// the run and prices its next iteration, which DecodeRun reuses.
+  [[nodiscard]] double Horizon();
+
   /// Extracts every unfinished request (running first, preserving carried
   /// timing state, then waiting) and frees their KV blocks.  Used by the
   /// cluster layer to re-route work off a replica being scaled down.
@@ -230,6 +256,7 @@ class ContinuousBatchScheduler {
   /// PredictTtft quotes the degraded speed so admission control sees it.
   void SetSlowdown(double factor) {
     slowdown_ = factor < 1.0 ? 1.0 : factor;
+    run_state_ = RunState::kStale;  // the run was priced at the old factor
   }
   [[nodiscard]] double slowdown() const { return slowdown_; }
 
@@ -282,6 +309,11 @@ class ContinuousBatchScheduler {
     std::uint32_t slot = KvBlockManager::kNoSlot;
   };
 
+  /// Whether DecodeRun can advance from the current state, with run_ and
+  /// run_slots_ describing the run when it can.  Kept across calls: only
+  /// DecodeRun (which updates it) and the calls that change the batch, the
+  /// queue or the free list (which mark it stale) move it.
+  bool OpenRun();
   /// Advances a decode run of k >= 1 iterations that StepUntil(deadline)
   /// would take one Step at a time (see the header comment).  Returns false,
   /// changing nothing, when the next iteration needs a plain Step.
@@ -324,7 +356,21 @@ class ContinuousBatchScheduler {
   mutable std::uint64_t priced_epoch_ = 0;
   mutable double priced_slowdown_ = 1.0;
   std::vector<Running> running_;
-  /// Decode-run scratch: the slots of running_, in batch order.
+  /// The open decode run (see OpenRun).  kRefused: the next iteration
+  /// needs a plain Step.
+  enum class RunState : std::uint8_t { kStale, kRefused, kOpen };
+  static constexpr std::size_t kUnknownRoom = static_cast<std::size_t>(-1);
+  struct RunShape {
+    double admit_at = 0;      ///< the head's arrival if it fits, else inf
+    std::size_t left = 0;     ///< fewest tokens any sequence has left
+    std::size_t len_sum = 0;  ///< KV tokens summed over the batch
+    std::size_t covered = 0;  ///< rounds the free list covers (<= left - 1)
+    std::size_t room = 0;     ///< least tail-block room, or kUnknownRoom
+    double next_seconds = -1; ///< the next iteration's price (< 0: unpriced)
+  };
+  RunState run_state_ = RunState::kStale;
+  RunShape run_;
+  /// The slots of running_, in batch order, while the run is open.
   std::vector<std::uint32_t> run_slots_;
   /// PricerFor's entry: the batch size pricer_ was built for (0 = none yet).
   std::size_t pricer_batch_ = 0;

@@ -8,6 +8,12 @@
 // must be the reference's iterations.  The mix reaches preemption-level KV
 // pressure, chunked prefill, prefill-only handoffs, migrated imports,
 // slowdown changes and full batches.
+//
+// The same replay checks the horizon contract a fleet relies on to leave a
+// replica behind its clock: after every StepUntil and every mutation, no
+// iteration a copy of the reference would start before the real
+// scheduler's Horizon() changes outstanding, the free blocks, the
+// prefix-index epoch, completions, handoffs or drops.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +22,9 @@
 #include <cmath>
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/trace_recorder.hpp"
@@ -187,6 +195,17 @@ class ReferenceScheduler {
   [[nodiscard]] const KvBlockManager& pool() const { return pool_; }
   [[nodiscard]] std::size_t running() const { return running_.size(); }
   [[nodiscard]] std::size_t waiting() const { return waiting_.size(); }
+  [[nodiscard]] bool HasWork() const {
+    return !running_.empty() || !waiting_.empty();
+  }
+  /// The clock the next Step's iteration starts at (an idle Step first
+  /// fast-forwards to the head's arrival).
+  [[nodiscard]] double NextStart() const {
+    return running_.empty() && !waiting_.empty()
+               ? std::max(stats_.simulated_seconds,
+                          waiting_.front().EffectiveArrival())
+               : stats_.simulated_seconds;
+  }
 
  private:
   struct Running {
@@ -362,6 +381,48 @@ void ExpectSame(const ContinuousBatchScheduler& real,
   }
 }
 
+/// How often the mix reached each path the oracle is there to check.
+struct Coverage {
+  std::size_t preemptions = 0, chunked = 0, handoffs = 0, imports = 0,
+              slowdowns = 0, full_batches = 0, iterations = 0;
+  /// Reference iterations run ahead of a horizon, and horizons that lay
+  /// past the clock.
+  std::size_t quiet_iterations = 0, horizons_ahead = 0;
+};
+
+/// Everything a fleet reads of a replica.
+auto FleetReads(const ReferenceScheduler& s) {
+  return std::make_tuple(s.running() + s.waiting(), s.pool().free_blocks(),
+                         s.pool().prefix_index().epoch(),
+                         s.completions().size(), s.handoffs().size(),
+                         s.dropped_ids().size(), s.HasWork());
+}
+
+/// The horizon contract: a copy of the reference runs every iteration that
+/// would start before the real scheduler's horizon, and none may change
+/// what a fleet reads.  Horizon() itself must not change the real
+/// scheduler's outcome, which the next ExpectSame checks.
+void ExpectHorizonHolds(ContinuousBatchScheduler& real,
+                        const ReferenceScheduler& ref, const std::string& where,
+                        Coverage& seen) {
+  SCOPED_TRACE(where);
+  const double horizon = real.Horizon();
+  if (!ref.HasWork()) {
+    EXPECT_EQ(horizon, std::numeric_limits<double>::infinity());
+    return;
+  }
+  seen.horizons_ahead += horizon > ref.stats().simulated_seconds;
+  ReferenceScheduler probe = ref;
+  const auto before = FleetReads(probe);
+  while (probe.HasWork() && probe.NextStart() < horizon) {
+    const double start = probe.NextStart();
+    probe.Step();
+    ++seen.quiet_iterations;
+    ASSERT_EQ(FleetReads(probe), before)
+        << "iteration at " << start << " before the horizon " << horizon;
+  }
+}
+
 /// One seeded scenario's knobs, drawn from the seed.
 struct Scenario {
   std::size_t chunk = 0;        ///< engine prefill_chunk_tokens
@@ -372,12 +433,6 @@ struct Scenario {
   std::size_t max_new = 0;
   double rate = 0;              ///< arrivals per simulated second
   std::uint64_t prefill_only_pct = 0;
-};
-
-/// How often the mix reached each path the oracle is there to check.
-struct Coverage {
-  std::size_t preemptions = 0, chunked = 0, handoffs = 0, imports = 0,
-              slowdowns = 0, full_batches = 0, iterations = 0;
 };
 
 Coverage RunScenario(std::uint64_t seed) {
@@ -435,6 +490,9 @@ Coverage RunScenario(std::uint64_t seed) {
     ref.StepUntil(clock);
     ExpectSame(real, trace, ref, kRequests,
                where("StepUntil(" + std::to_string(clock) + ")"));
+    ExpectHorizonHolds(real, ref,
+                       where("after StepUntil(" + std::to_string(clock) + ")"),
+                       seen);
     if (::testing::Test::HasFailure()) return seen;
     if (!ahead) {
       real.Submit(r);
@@ -460,6 +518,9 @@ Coverage RunScenario(std::uint64_t seed) {
       ref.SetSlowdown(factor);
       ++seen.slowdowns;
     }
+    // A fleet also reads the horizon after it submits, imports or degrades.
+    ExpectHorizonHolds(real, ref, where("after the mutations"), seen);
+    if (::testing::Test::HasFailure()) return seen;
   }
   real.RunToCompletion();
   ref.RunToCompletion();
@@ -483,6 +544,8 @@ TEST(DecodeRunOracleTest, EveryStepUntilMatchesOneIterationSteps) {
     total.slowdowns += c.slowdowns;
     total.full_batches += c.full_batches;
     total.iterations += c.iterations;
+    total.quiet_iterations += c.quiet_iterations;
+    total.horizons_ahead += c.horizons_ahead;
   }
   // The mix reached every path the oracle is there to check.
   EXPECT_GT(total.preemptions, 100u);
@@ -492,6 +555,9 @@ TEST(DecodeRunOracleTest, EveryStepUntilMatchesOneIterationSteps) {
   EXPECT_GT(total.slowdowns, 100u);
   EXPECT_GT(total.full_batches, 100u);
   EXPECT_GT(total.iterations, 10000u);
+  // The horizons the replay checked were not all the clock itself.
+  EXPECT_GT(total.horizons_ahead, 1000u);
+  EXPECT_GT(total.quiet_iterations, 2000u);
 }
 
 TEST(DecodeRunOracleTest, MigratedHeadStopsTheRunAtItsReadyTime) {
