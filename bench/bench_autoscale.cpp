@@ -109,7 +109,6 @@ FleetStats RunAutoscaled(const std::vector<serving::TimedRequest>& trace,
   AutoscaleConfig autoscale;
   autoscale.cooldown_seconds = 2.0;
   autoscale.tick_seconds = 0.5;  // the event-pump tick covers the tail
-  autoscale.cost_aware = true;   // the pricier pool shrinks first
   // k8s-style downscale stabilization: 3 s of continuously low readings
   // before any shrink, so mid-burst queue dips don't flap.
   autoscale.shrink_stable_seconds = 3.0;

@@ -118,15 +118,13 @@ void ClusterSimulator::FlushDirty() {
 serving::ContinuousBatchScheduler& ClusterSimulator::Touch(Replica& replica) {
   serving::ContinuousBatchScheduler& s = *replica.scheduler;
 #ifndef NDEBUG
-  const std::size_t done = s.completions().size();
-  const std::size_t handed = s.handoffs().size();
-  const std::size_t dropped = s.dropped_ids().size();
+  const std::size_t dropped = s.stats().dropped;
 #endif
   s.StepUntil(now_);
   // The horizon contract: a replica no event stepped has nothing to
-  // harvest at the fleet clock.
-  assert(s.completions().size() == done && s.handoffs().size() == handed &&
-         s.dropped_ids().size() == dropped);
+  // harvest at the fleet clock, and every stepped one was harvested.
+  assert(s.completions().empty() && s.handoffs().empty() &&
+         s.stats().dropped == dropped);
   MarkDirty(replica);
   return s;
 }
@@ -304,11 +302,8 @@ bool ClusterSimulator::RemoveReplica(std::size_t id) {
   // instead of landing on a corpse and burning the retry budget.
   for (const DisaggCoordinator::Migration& m :
        coordinator_.TakeInboundFor(id)) {
-    std::uint64_t session = 0;
-    const auto meta = inflight_.find(m.continuation.id);
-    if (meta != inflight_.end()) session = meta->second.session;
     const std::optional<std::size_t> dst =
-        router_.RouteDecode(session, Views(0), m.kv.blocks + 1,
+        router_.RouteDecode(m.continuation.session, Views(0), m.kv.blocks + 1,
                             &m.continuation.prefix);
     if (dst && replicas_[*dst].active) {
       coordinator_.Reroute(m, *dst, std::max(now, m.start));
@@ -397,22 +392,18 @@ bool ClusterSimulator::DegradeReplica(std::size_t id, double slowdown_factor) {
 }
 
 void ClusterSimulator::RetryLost(const serving::Request& lost, double now) {
-  // The original TimedRequest (session/tenant intact) is replayed with its
-  // original arrival time, so a retry's TTFT charges the failed attempt;
-  // attempt counts the failures it survived.
+  // The original request (session intact) is replayed with its original
+  // arrival time, so a retry's TTFT charges the failed attempt; attempt
+  // counts the failures it survived.
+  const serving::Request original = lost.Original();
   serving::TimedRequest retry;
-  const auto meta = inflight_.find(lost.id);
-  if (meta != inflight_.end()) {
-    retry = meta->second;
-  } else {
-    const serving::Request original = lost.Original();
-    retry.id = original.id;
-    retry.arrival_seconds = original.arrival;
-    retry.prompt_tokens = original.prompt_tokens;
-    retry.max_new_tokens = original.max_new_tokens;
-    retry.prefix = original.prefix;
-  }
-  ++retry.attempt;
+  retry.id = original.id;
+  retry.arrival_seconds = original.arrival;
+  retry.prompt_tokens = original.prompt_tokens;
+  retry.max_new_tokens = original.max_new_tokens;
+  retry.session = original.session;
+  retry.attempt = original.attempt + 1;
+  retry.prefix = original.prefix;
   if (retry_.max_attempts > 0 && retry.attempt > retry_.max_attempts) {
     if (trace_ != nullptr) {
       trace_->Instant(obs::TraceEventType::kRetriesExhausted, now,
@@ -420,7 +411,6 @@ void ClusterSimulator::RetryLost(const serving::Request& lost, double now) {
                       static_cast<double>(retry.attempt));
     }
     ++tally_.retries_exhausted;
-    inflight_.erase(retry.id);
     return;
   }
   tally_.max_retry_attempts =
@@ -460,46 +450,38 @@ void ClusterSimulator::AdvanceTo(double deadline) {
 }
 
 void ClusterSimulator::Harvest() {
-  {
-    LIQUID_PROF_SCOPE("sim/harvest");
-    for (const std::size_t id : stepped_) {
-      Replica& r = replicas_[id];
-      const std::vector<serving::RequestTiming>& done =
-          r.scheduler->completions();
-      for (; r.harvested < done.size(); ++r.harvested) {
-        const serving::RequestTiming& t = done[r.harvested];
-        work_observed_ = true;
-        // The fleet-wide windows are fed only for their one reader, the
-        // metric gauges.
-        if (metrics_ != nullptr) {
-          ttft_window_.Add(t.finish, t.Ttft());
-          if (t.generated > 1) tpot_window_.Add(t.finish, t.Tpot());
-          tokens_window_.Add(t.finish, static_cast<double>(t.generated));
-          ttft_hist_->Add(t.Ttft());
-          if (t.generated > 1) tpot_hist_->Add(t.Tpot());
-        }
-        if (r.pool != kNoPool) {
-          // Role-typed pools watch their own streams: the TTFT window feeds
-          // prefill-style signals, the TPOT window decode-style ones.
-          PoolRuntime& runtime = pool_runtime_[r.pool];
-          runtime.ttft_window.Add(t.finish, t.Ttft());
-          if (t.generated > 1) runtime.tpot_window.Add(t.finish, t.Tpot());
-        }
-        inflight_.erase(t.id);
-      }
-      const std::vector<serving::SeqId>& dropped = r.scheduler->dropped_ids();
-      for (; r.drops_harvested < dropped.size(); ++r.drops_harvested) {
-        inflight_.erase(dropped[r.drops_harvested]);
-      }
-    }
-  }
+  LIQUID_PROF_SCOPE("sim/harvest");
+  // Replica by replica, completions before handoffs.  The interleaving
+  // across replicas decides nothing: planning a handoff mutates only its
+  // source replica, and the pool windows it feeds are read as a set
+  // (Count, Percentile), not in order.
   for (const std::size_t id : stepped_) {
     Replica& r = replicas_[id];
-    const std::vector<serving::PrefillHandoff>& handoffs =
-        r.scheduler->handoffs();
-    for (; r.handoffs_harvested < handoffs.size(); ++r.handoffs_harvested) {
+    r.scheduler->TakeOutboxes(harvest_done_, harvest_handoffs_);
+    for (const serving::RequestTiming& t : harvest_done_) {
       work_observed_ = true;
-      PlanHandoff(r, handoffs[r.handoffs_harvested]);
+      // The fleet-wide windows are fed only for their one reader, the
+      // metric gauges.
+      if (metrics_ != nullptr) {
+        ttft_window_.Add(t.finish, t.Ttft());
+        if (t.generated > 1) tpot_window_.Add(t.finish, t.Tpot());
+        tokens_window_.Add(t.finish, static_cast<double>(t.generated));
+        ttft_hist_->Add(t.Ttft());
+        if (t.generated > 1) tpot_hist_->Add(t.Tpot());
+      }
+      if (r.pool != kNoPool) {
+        // Role-typed pools watch their own streams: the TTFT window feeds
+        // prefill-style signals, the TPOT window decode-style ones.
+        PoolRuntime& runtime = pool_runtime_[r.pool];
+        runtime.ttft_window.Add(t.finish, t.Ttft());
+        if (t.generated > 1) runtime.tpot_window.Add(t.finish, t.Tpot());
+      }
+    }
+    timings_.insert(timings_.end(), harvest_done_.begin(),
+                    harvest_done_.end());
+    for (const serving::PrefillHandoff& handoff : harvest_handoffs_) {
+      work_observed_ = true;
+      PlanHandoff(r, handoff);
     }
   }
   stepped_.clear();
@@ -515,17 +497,13 @@ void ClusterSimulator::PlanHandoff(Replica& src,
     pool_runtime_[src.pool].ttft_window.Add(
         handoff.ready, handoff.ready - handoff.request.arrival);
   }
-  std::uint64_t session = 0;
-  const auto meta = inflight_.find(handoff.request.id);
-  if (meta != inflight_.end()) session = meta->second.session;
-
   std::optional<std::size_t> dst;
   if (coordinator_.model().Usable()) {
     // Decode placement sees the migrating KV's real identity: the prompt's
     // signature is what the KV registered, so a prefix-aware preset scores
     // shared resident blocks at each candidate, not just session stickiness.
-    dst = router_.RouteDecode(session, Views(0), handoff.kv.blocks + 1,
-                              &handoff.request.prefix);
+    dst = router_.RouteDecode(handoff.request.session, Views(0),
+                              handoff.kv.blocks + 1, &handoff.request.prefix);
   }
   if (dst && *dst == src.id) {
     // The best decode home is this very replica (it can happen when a
@@ -686,7 +664,6 @@ std::optional<std::size_t> ClusterSimulator::RouteOne(
                         obs::kFleetPid, obs::kTidRouter, request.id);
       }
       ++tally_.dropped;  // no alive replica; folded into FleetStats.dropped
-      inflight_.erase(request.id);
       return std::nullopt;
     case RouteOutcome::kRejected:
       if (trace_ != nullptr) {
@@ -694,7 +671,6 @@ std::optional<std::size_t> ClusterSimulator::RouteOne(
                         obs::kTidRouter, request.id, decision.predicted_ttft);
       }
       ++tally_.rejected_requests;
-      inflight_.erase(request.id);
       return std::nullopt;
     case RouteOutcome::kRouted:
       break;
@@ -725,7 +701,6 @@ std::optional<std::size_t> ClusterSimulator::RouteOne(
   }
   Touch(replicas_[dest]).Submit(req);
   ++replicas_[dest].submitted;
-  inflight_[request.id] = request;
   ArmAutoscaleTick();  // new work: the periodic evaluation matters again
   return dest;
 }
@@ -811,8 +786,8 @@ void ClusterSimulator::MaybeAutoscale(double now) {
   shrink_pending_ = false;
   // At most one scale event per evaluation (the shared cooldown paces the
   // loop).  Growth outranks shrink within an evaluation: the most
-  // overloaded pool grows first, and with cost_aware the most expensive
-  // shrink-eligible pool shrinks first — the biggest cut to predicted
+  // overloaded pool grows first, and the most expensive shrink-eligible
+  // pool shrinks first — the biggest cut to predicted
   // $/1M tokens per event.  A hot pool already at max_replicas does NOT
   // block another pool's stabilized shrink.
   struct ShrinkCandidate {
@@ -865,17 +840,15 @@ void ClusterSimulator::MaybeAutoscale(double now) {
     CommitScaleUp(up_pool, autoscale_.pools[up_pool].spec, now, up_value);
     return;
   }
-  // With cost_aware the most expensive pool shrinks first (the biggest cut
-  // to $/1M tok per event); otherwise config order.  A pool whose only
-  // remaining replicas the victim scan protects (last of a role, SLO
-  // infeasibility) falls through to the next candidate instead of wedging
-  // the whole shrink path.
-  if (autoscale_.cost_aware) {
-    std::stable_sort(shrinkable.begin(), shrinkable.end(),
-                     [](const ShrinkCandidate& a, const ShrinkCandidate& b) {
-                       return a.rate > b.rate;
-                     });
-  }
+  // The most expensive pool shrinks first (the biggest cut to $/1M tok per
+  // event); equal prices keep config order.  A pool whose only remaining
+  // replicas the victim scan protects (last of a role, SLO infeasibility)
+  // falls through to the next candidate instead of wedging the whole
+  // shrink path.
+  std::stable_sort(shrinkable.begin(), shrinkable.end(),
+                   [](const ShrinkCandidate& a, const ShrinkCandidate& b) {
+                     return a.rate > b.rate;
+                   });
   for (const ShrinkCandidate& candidate : shrinkable) {
     if (CommitScaleDown(candidate.pool, now, candidate.value)) {
       // The shrunken pool must re-earn its stabilization window.
@@ -1135,6 +1108,9 @@ FleetStats ClusterSimulator::Run(
     std::sort(sorted.begin(), sorted.end(), arrival_order);
     requests = &sorted;
   }
+  // Each request completes at most once, so the timing log is one
+  // allocation sized by the trace rather than a chain of doublings.
+  timings_.reserve(timings_.size() + requests->size());
 
   for (const serving::TimedRequest& request : *requests) {
     ProcessEventsThrough(request.arrival_seconds);
@@ -1160,8 +1136,12 @@ FleetStats ClusterSimulator::Run(
   stats.replicas_final = ActiveReplicas();
   stats.disagg.in_migration = coordinator_.InFlight();
   stats.disagg.migration_seconds = SummarizePercentiles(migration_seconds_);
-  std::vector<serving::RequestTiming> timings;
   std::vector<double> migrated_tpot;
+  for (const serving::RequestTiming& t : timings_) {
+    if (t.generated > 1 && migrated_ids_.contains(t.id)) {
+      migrated_tpot.push_back(t.Tpot());
+    }
+  }
   for (const Replica& r : replicas_) {
     ReplicaReport report;
     report.id = r.id;
@@ -1182,18 +1162,10 @@ FleetStats ClusterSimulator::Run(
       stats.disagg.decode_replicas +=
           r.spec.role == ReplicaRole::kDecode ? 1 : 0;
     }
-    const std::vector<serving::RequestTiming>& done =
-        r.scheduler->completions();
-    timings.insert(timings.end(), done.begin(), done.end());
-    for (const serving::RequestTiming& t : done) {
-      if (t.generated > 1 && migrated_ids_.contains(t.id)) {
-        migrated_tpot.push_back(t.Tpot());
-      }
-    }
   }
   stats.disagg.migrated_tpot = SummarizePercentiles(migrated_tpot);
   const std::size_t routing_drops = stats.dropped;  // kept by Finalize rescan
-  FinalizeFleetStats(timings, stats);
+  FinalizeFleetStats(timings_, stats);
   stats.dropped += routing_drops;
 
   // Simulator-throughput meter: how much simulated work this Run() did per

@@ -30,23 +30,24 @@
 // pool into FleetStats.
 //
 // The event pump.  A fleet event at time t (an arrival, kill, degrade,
-// migration landing, retry release or autoscale tick) steps only the
-// replicas whose Horizon() is <= t: a lower bound on the clock at which the
-// next iteration that can change anything the fleet reads (outstanding,
-// HasWork, free blocks, the prefix index, completions, handoffs, drops) may
-// start.  Every
-// other replica stays behind the fleet clock, and StepUntil(t) would only
-// have moved its clock and token counts.  Before the fleet mutates a
-// replica it brings it current with StepUntil(fleet clock) — a touch: the
-// route target before Submit (a retry replays its original arrival, which
-// an idle replica left behind would admit in the past), the migration or
-// drain destination before AcceptMigrated/Submit, the degrade victim before
-// SetSlowdown, the kill and removal victims, and, after the last event,
-// every replica once, so each ends on the clock a full step at every event
-// would give.  Completions and handoffs are harvested only from the
-// replicas an event stepped, in id order, and the routing views are kept
-// between decisions and refreshed only for the replicas stepped or touched
-// since the last one.
+// migration landing, retry release or autoscale tick) steps only the replicas
+// whose Horizon() is <= t: a lower bound on the clock at which the next
+// iteration that can change anything the fleet reads (outstanding, HasWork,
+// free blocks, the prefix index, the completion and handoff outboxes, the
+// drop count) may start.  Every other replica stays behind the fleet clock,
+// and StepUntil(t) would only have moved its clock and token counts.  Before
+// the fleet mutates a replica it brings it current with StepUntil(fleet
+// clock) — a touch: the route target before Submit (a retry replays its
+// original arrival, which an idle replica left behind would admit in the
+// past), the migration or drain destination before AcceptMigrated/Submit, the
+// degrade victim before SetSlowdown, the kill and removal victims, and, after
+// the last event, every replica once, so each ends on the clock a full step
+// at every event would give.  Completions and handoffs are taken out of the
+// outboxes of the replicas an event stepped, in id order, so the fleet holds
+// each finished request once, and the routing views are kept between
+// decisions and refreshed only for the replicas stepped or touched since the
+// last one.  A request carries its own retry identity (session, attempt), so
+// the fleet keeps no per-request map of what it routed.
 //
 // Where every replica is still stepped at every event: with a TraceRecorder
 // or MetricsRegistry attached (the trace keeps event insertion order and
@@ -60,7 +61,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -132,7 +132,10 @@ struct AutoscalePool {
 /// Autoscaler: each pool whose signal crosses its high threshold (or that
 /// sits below its min_replicas) grows by a clone of its spec; a pool whose
 /// signal stays below its low threshold drains and removes its least-loaded
-/// replica.  Autoscaling is on exactly when `pools` is non-empty; a
+/// replica.  When several pools could shrink in one evaluation, the one
+/// with the highest spec dollars_per_hour shrinks (the biggest cut to
+/// predicted $/1M tokens; equal prices keep pool order); scale-ups stay
+/// SLO-driven.  Autoscaling is on exactly when `pools` is non-empty; a
 /// fleet-wide autoscaler is one kUnified pool whose spec is the replica spec
 /// the fleet was built from.  One cooldown paces the whole autoscaler, at
 /// most one scale event fires per evaluation, and scale-down additionally
@@ -158,11 +161,6 @@ struct AutoscaleConfig {
   /// minimum first), and re-arms on new work.
   double tick_seconds = 0;
 
-  /// Cost-aware objective: when several pools signal
-  /// scale-down in the same evaluation, retire capacity from the most
-  /// expensive pool first — the biggest cut to predicted $/1M tokens per
-  /// event.  Scale-ups stay SLO-driven.
-  bool cost_aware = false;
   /// Downscale stabilization (k8s-HPA style): a shrink commits only after
   /// the signal has read below `low` CONTINUOUSLY for this long (every
   /// evaluation in the window read low), so a momentarily empty queue
@@ -294,9 +292,6 @@ class ClusterSimulator {
     double added_at = 0;    ///< fleet clock when the replica joined
     double retired_at = -1; ///< scale-down instant; < 0 = never retired
     std::size_t submitted = 0;
-    std::size_t harvested = 0;  ///< completions already pulled into the window
-    std::size_t drops_harvested = 0;    ///< scheduler drops already observed
-    std::size_t handoffs_harvested = 0; ///< prefill handoffs already planned
     /// Stepped or mutated since its view and horizon were last refreshed.
     bool dirty = false;
   };
@@ -354,19 +349,20 @@ class ClusterSimulator {
   /// `spec`, or a new one appended to engines_.
   std::shared_ptr<const serving::ServingEngine> EngineFor(
       const ReplicaSpec& spec);
-  /// Shared routing path for arrivals and kill-retries: counts rejects/drops,
-  /// tracks in-flight metadata, and submits to the chosen scheduler (flagged
-  /// prefill-only when it lands on a prefill-role replica).
+  /// Shared routing path for arrivals and kill-retries: counts rejects/drops
+  /// and submits to the chosen scheduler (flagged prefill-only when it lands
+  /// on a prefill-role replica).
   std::optional<std::size_t> RouteOne(const serving::TimedRequest& request);
   /// One request lost with its host (kill) or transfer (target death, or
-  /// its source and target both gone): replays the original routed
-  /// TimedRequest from inflight_ (else `lost.Original()`), spending a retry
-  /// attempt — scheduling the re-route after backoff — or abandons the
-  /// request when the budget is gone.
+  /// its source and target both gone): replays `lost.Original()` with its
+  /// session and one more attempt, spending a retry — scheduling the
+  /// re-route after backoff — or abandons the request when the budget is
+  /// gone.
   void RetryLost(const serving::Request& lost, double now);
-  /// Pulls new completions and drops, then plans migrations for new
-  /// prefill handoffs, from the replicas in stepped_ (in id order), and
-  /// empties it.  A replica no event stepped has nothing new.
+  /// Takes the outboxes of the replicas in stepped_ (in id order): feeds
+  /// the signal windows and timings_ from each completion and plans a
+  /// migration for each prefill handoff; then empties stepped_.  A replica
+  /// no event stepped has empty outboxes.
   void Harvest();
   void PlanHandoff(Replica& src, const serving::PrefillHandoff& handoff);
   /// Delivers a continuation + KV to `dst`'s scheduler; on import OOM the
@@ -453,11 +449,13 @@ class ClusterSimulator {
   /// Pending, consumed by Run.
   std::vector<DegradeEvent> degrade_schedule_;
   std::vector<PendingRetry> pending_retries_;
-  /// Original routed request by id, so a kill can re-submit the original
-  /// (session/tenant intact) rather than the scheduler's mutated view.
-  /// Lookup/erase only — never iterated, so its unordered order never
-  /// reaches stats or traces.
-  std::unordered_map<std::uint64_t, serving::TimedRequest> inflight_;
+  /// Every completion harvested so far, in harvest order: the one copy of
+  /// each finished request's timing, which Run() finalizes from.
+  std::vector<serving::RequestTiming> timings_;
+  /// Harvest's scratch: a replica's outboxes, taken by swap so their
+  /// storage cycles between the fleet and the schedulers.
+  std::vector<serving::RequestTiming> harvest_done_;
+  std::vector<serving::PrefillHandoff> harvest_handoffs_;
   /// Requests that completed a KV migration (for the interference-free
   /// decode-TPOT percentile split).  Membership tests only — never iterated.
   std::unordered_set<std::uint64_t> migrated_ids_;

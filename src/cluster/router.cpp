@@ -54,7 +54,6 @@ const char* ToString(ScoreTerm term) {
     case ScoreTerm::kFreeKv: return "free_kv";
     case ScoreTerm::kAffinity: return "affinity";
     case ScoreTerm::kPrefixOverlap: return "prefix_overlap";
-    case ScoreTerm::kPredictedTtft: return "predicted_ttft";
     case ScoreTerm::kRolePreference: return "role_preference";
   }
   return "?";
@@ -174,8 +173,6 @@ double Router::TermValue(ScoreTerm term, const ScoreInput& input,
       return static_cast<double>(shared) /
              static_cast<double>(input.prefix->blocks());
     }
-    case ScoreTerm::kPredictedTtft:
-      return -v.est_ttft_seconds;
     case ScoreTerm::kRolePreference:
       return v.role == ReplicaRole::kDecode ? 1 : 0;
   }
@@ -303,7 +300,6 @@ RouteDecision Router::Decide(const serving::TimedRequest& request,
   if (best && replicas[*best].est_ttft_seconds <= ceiling) {
     decision.replica = best;
     decision.predicted_ttft = replicas[*best].est_ttft_seconds;
-    if (explain != nullptr && *best != *placed) explain->slo_fallback = true;
     return decision;
   }
   decision.outcome = RouteOutcome::kRejected;

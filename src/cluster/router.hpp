@@ -6,7 +6,7 @@
 //
 // Placement is a SCORING PIPELINE: a weighted sum of orthogonal terms
 // (rotation fairness, queue depth, free KV, session affinity, shared
-// prefix-cache blocks, predicted TTFT), evaluated per alive eligible replica;
+// prefix-cache blocks), evaluated per alive eligible replica;
 // the highest score wins, ties break toward the lowest index so routing
 // stays deterministic.  The historical policies survive as weight PRESETS
 // over that pipeline — each reproduces the pre-pipeline decisions exactly:
@@ -80,7 +80,6 @@ enum class ScoreTerm {
                    ///  mode additionally requires min_free_blocks headroom)
   kPrefixOverlap,  ///< shared leading signature blocks resident here,
                    ///  normalized by the prompt's block count (0..1)
-  kPredictedTtft,  ///< -est_ttft_seconds (0 when no estimate was computed)
   kRolePreference, ///< decode placement: 1 for decode-role replicas, else 0
 };
 
@@ -169,16 +168,12 @@ struct TermContribution {
 struct RouteExplain {
   std::vector<TermContribution> terms;  ///< the winner's term readings
   double score = 0;                     ///< the winning weighted sum
-  /// Decide() overrode the pipeline's pick with the lowest-predicted-TTFT
-  /// fallback (the terms still describe the pipeline's original winner).
-  bool slo_fallback = false;
 };
 
 class Router {
  public:
   explicit Router(RoutePolicy policy, SloConfig slo = {})
-      : policy_(policy),
-        slo_(slo),
+      : slo_(slo),
         pipeline_(PromptPipeline(policy)),
         decode_pipeline_(DecodePipeline(policy)) {}
 
@@ -234,26 +229,11 @@ class Router {
   [[nodiscard]] bool ScaleDownSafe(const std::vector<ReplicaView>& replicas,
                                    std::size_t victim) const;
 
-  [[nodiscard]] RoutePolicy policy() const { return policy_; }
   [[nodiscard]] const SloConfig& slo() const { return slo_; }
-  void set_slo(SloConfig slo) { slo_ = slo; }
   /// Enables the role-aware stage (set by the cluster once the fleet has
   /// specialized replicas and a usable interconnect).
   void set_role_aware(bool on) { role_aware_ = on; }
   [[nodiscard]] bool role_aware() const { return role_aware_; }
-
-  /// The pipelines actually scoring placements — replace them to run a
-  /// custom weighting (the preset enum is just a constructor convenience).
-  [[nodiscard]] const ScorerPipeline& pipeline() const { return pipeline_; }
-  void set_pipeline(ScorerPipeline pipeline) {
-    pipeline_ = std::move(pipeline);
-  }
-  [[nodiscard]] const ScorerPipeline& decode_pipeline() const {
-    return decode_pipeline_;
-  }
-  void set_decode_pipeline(ScorerPipeline pipeline) {
-    decode_pipeline_ = std::move(pipeline);
-  }
 
  private:
   /// A set of replica roles, one bit per ReplicaRole.
@@ -298,8 +278,9 @@ class Router {
       const std::vector<ReplicaView>& replicas, unsigned roles,
       RouteExplain* explain);
 
-  RoutePolicy policy_;
   SloConfig slo_;
+  /// The policy's presets: the weighted terms scoring prompt and decode
+  /// placements.
   ScorerPipeline pipeline_;
   ScorerPipeline decode_pipeline_;
   bool role_aware_ = false;

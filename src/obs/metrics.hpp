@@ -29,7 +29,10 @@ namespace liquid::obs {
 /// (sorted ascending); values above the last bound land in an implicit
 /// overflow bucket.  Percentile() interpolates within the containing bucket,
 /// tightened by the observed min/max, so its error is bounded by the bucket
-/// width (tested against util/stats Percentile on shared inputs).
+/// width (tested against util/stats Percentile on shared inputs).  The
+/// fleet's ttft/tpot histograms are therefore approximate: FleetStats
+/// computes its percentiles from every request's exact latency, and the
+/// two p99s can differ by up to a bucket width.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);

@@ -255,7 +255,6 @@ bool ContinuousBatchScheduler::Step() {
       trace_->AsyncEnd(obs::TraceEventType::kStageQueued,
                        stats_.simulated_seconds, dropped);
     }
-    dropped_ids_.push_back(dropped);
     waiting_.pop_front();
     ++stats_.dropped;
     return true;

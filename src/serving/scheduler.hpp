@@ -13,10 +13,10 @@
 //
 //  * Prefill-only completion: a request flagged `prefill_only` leaves the
 //    scheduler as soon as its first token exists — its KV is exported from
-//    the pool and parked in `handoffs()` for the cluster layer to migrate to
-//    a decode replica.  A request flagged `kv_migrated` is the other end of
-//    that journey: its KV is imported before admission (AcceptMigrated), so
-//    admission skips the prefill charge entirely.
+//    the pool and parked in the handoff outbox for the cluster layer to
+//    migrate to a decode replica.  A request flagged `kv_migrated` is the
+//    other end of that journey: its KV is imported before admission
+//    (AcceptMigrated), so admission skips the prefill charge entirely.
 //
 //  * Scheduler-level chunked prefill: when the engine runs with
 //    prefill_chunk_tokens > 0, admission no longer charges the whole prompt
@@ -48,20 +48,20 @@
 // is kept until something other than a run changes the batch, the queue or
 // the free list, so the next call resumes it without a rescan.
 //
-// The horizon.  A fleet reads a replica through outstanding(), HasWork(),
-// the free block count, the prefix index and the completion, handoff and
-// drop logs; a decode run changes none of them until an iteration retires a
-// sequence or takes a block.  The horizon is the clock at which the first
-// iteration that may change one of them can start: the start of run
+// The horizon.  A fleet reads a replica through outstanding(), HasWork(), the
+// free block count, the prefix index, the completion and handoff outboxes and
+// the drop count; a decode run changes none of them until an iteration
+// retires a sequence or takes a block.  The horizon is the clock at which the
+// first iteration that may change one of them can start: the start of run
 // iteration min(left - 1, least tail-block room), capped at the admissible
 // head's arrival; an idle replica's head arrival (infinity with an empty
 // queue); and the clock itself whenever the next iteration needs a plain
 // Step.  StepUntil(t) for any t below the horizon therefore leaves every
-// fleet-read value as it was, and the run is the same iterations whether
-// it is reached in one StepUntil or in several.  An earlier horizon is
-// always safe.  Horizon() returns a lower bound priced from the run's next
-// iteration alone (a decode step costs no less at a longer KV length), and
-// DecodeRun reuses that price, so each iteration is still priced once.
+// fleet-read value as it was, and the run is the same iterations whether it
+// is reached in one StepUntil or in several.  An earlier horizon is always
+// safe.  Horizon() returns a lower bound priced from the run's next iteration
+// alone (a decode step costs no less at a longer KV length), and DecodeRun
+// reuses that price, so each iteration is still priced once.
 
 #include <cstddef>
 #include <cstdint>
@@ -94,6 +94,11 @@ struct Request {
   /// KV already imported into this scheduler's pool: admission skips both
   /// the allocation and the prefill charge (decode pool).
   bool kv_migrated = false;
+  /// Retry identity, carried unchanged through every residency: the failed
+  /// attempts this request has survived, and the conversation key decode
+  /// placement keeps sticky.  The scheduler never reads them.
+  std::uint32_t attempt = 0;
+  std::uint64_t session = 0;
 
   /// Block-hash signature of the prompt; published in the pool's
   /// PrefixIndex once the prefill (or import) makes the blocks resident.
@@ -110,20 +115,25 @@ struct Request {
     r.prompt_tokens = timed.prompt_tokens;
     r.max_new_tokens = timed.max_new_tokens;
     r.arrival = timed.arrival_seconds;
+    r.attempt = timed.attempt;
+    r.session = timed.session;
     r.prefix = timed.prefix;
     return r;
   }
 
   /// The request as first submitted: `progress` tokens were folded into
   /// prompt_tokens (and out of max_new_tokens) by each FoldGenerated, so
-  /// unfolding them recovers the original shape.  Arrival and prefix (the
-  /// content identity) survive; timing and generation state do not.
+  /// unfolding them recovers the original shape.  Arrival, the retry
+  /// identity and prefix (the content identity) survive; timing and
+  /// generation state do not.
   [[nodiscard]] Request Original() const {
     Request r;
     r.id = id;
     r.prompt_tokens = prompt_tokens - progress;
     r.max_new_tokens = max_new_tokens + progress;
     r.arrival = arrival;
+    r.attempt = attempt;
+    r.session = session;
     r.prefix = prefix;
     return r;
   }
@@ -270,19 +280,27 @@ class ContinuousBatchScheduler {
   }
 
   [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
+  /// The completion outbox: requests finished here since the last
+  /// TakeOutboxes, in completion order.
   [[nodiscard]] const std::vector<RequestTiming>& completions() const {
     return completions_;
   }
-  /// Prefill-only requests that finished their prefill here, with exported
-  /// KV, in handoff order.  The cluster layer harvests these with a cursor
-  /// (like completions) and schedules the migrations.
+  /// The handoff outbox: prefill-only requests that finished their prefill
+  /// here since the last TakeOutboxes, with exported KV, in handoff order.
   [[nodiscard]] const std::vector<PrefillHandoff>& handoffs() const {
     return handoffs_;
   }
-  /// Ids of requests dropped because they can never fit the KV pool, in drop
-  /// order (the cluster layer uses this to retire in-flight bookkeeping).
-  [[nodiscard]] const std::vector<SeqId>& dropped_ids() const {
-    return dropped_ids_;
+  /// Hands both outboxes to the caller by swap and leaves them empty:
+  /// `completions` and `handoffs` receive what finished since the last
+  /// call, and their old contents are discarded (their storage becomes the
+  /// new outboxes').  The cluster layer takes each finished request exactly
+  /// once this way.
+  void TakeOutboxes(std::vector<RequestTiming>& completions,
+                    std::vector<PrefillHandoff>& handoffs) {
+    completions_.swap(completions);
+    handoffs_.swap(handoffs);
+    completions_.clear();
+    handoffs_.clear();
   }
   [[nodiscard]] std::size_t running() const { return running_.size(); }
   [[nodiscard]] std::size_t waiting() const { return waiting_.size(); }
@@ -378,7 +396,6 @@ class ContinuousBatchScheduler {
   SchedulerStats stats_;
   std::vector<RequestTiming> completions_;
   std::vector<PrefillHandoff> handoffs_;
-  std::vector<SeqId> dropped_ids_;
 };
 
 }  // namespace liquid::serving

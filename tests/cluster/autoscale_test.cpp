@@ -297,9 +297,8 @@ TEST(AutoscaleTest, CostAwareShrinkRetiresTheExpensivePoolFirst) {
   AutoscaleConfig autoscale;
   autoscale.cooldown_seconds = 0.05;
   autoscale.tick_seconds = 0.2;
-  autoscale.cost_aware = true;
-  // Decode pool FIRST in config order: without cost-awareness it would be
-  // the first shrink candidate; with it, the pricier prefill pool goes.
+  // Decode pool FIRST in config order: a config-order shrink would pick it;
+  // the price order retires the pricier prefill pool.
   AutoscalePool decode_pool;
   decode_pool.role = ReplicaRole::kDecode;
   decode_pool.spec = Spec(ReplicaRole::kDecode);  // $2.2/hr
@@ -413,7 +412,6 @@ FleetStats RunCanonicalAutoscaleChaos() {
   AutoscaleConfig autoscale;
   autoscale.cooldown_seconds = 0.25;
   autoscale.tick_seconds = 0.2;
-  autoscale.cost_aware = true;
   AutoscalePool prefill_pool;
   prefill_pool.role = ReplicaRole::kPrefill;
   prefill_pool.spec = Spec(ReplicaRole::kPrefill);
@@ -492,7 +490,9 @@ TEST(AutoscaleTest, ConservationHoldsAcrossAutoscaleChaosSeeds) {
     AutoscaleConfig autoscale;
     autoscale.cooldown_seconds = rng.Uniform(0.05, 0.5);
     autoscale.tick_seconds = rng.Uniform(0.1, 0.5);
-    autoscale.cost_aware = rng.NextDouble() < 0.5;
+    // A draw nothing reads, kept so every later scenario keeps its
+    // parameters.
+    (void)rng.NextDouble();
     AutoscalePool prefill_pool;
     prefill_pool.role = ReplicaRole::kPrefill;
     prefill_pool.spec = Spec(ReplicaRole::kPrefill);

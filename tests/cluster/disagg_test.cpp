@@ -286,6 +286,60 @@ TEST(DisaggTest, RetryBudgetExhaustsInsteadOfStorming) {
   EXPECT_LE(s.max_retry_attempts, 1u);
 }
 
+TEST(DisaggTest, RequestsKeepSessionAndAttemptThroughRetriesAndHandoffs) {
+  // The fleet keeps no copy of a routed request: a retry's attempt count and
+  // session, and a continuation's session, ride on the request itself.
+  const auto request = [](std::uint64_t id, std::uint64_t session,
+                          double arrival, std::size_t max_new) {
+    serving::TimedRequest r;
+    r.id = id;
+    r.session = session;
+    r.arrival_seconds = arrival;
+    r.prompt_tokens = 256;
+    r.max_new_tokens = max_new;
+    return r;
+  };
+  {
+    SCOPED_TRACE("retry after a kill");
+    // Session 7's long request dies on replica 0, then on its retry home,
+    // replica 1: its second retry is attempt 2 and lands on replica 2 (the
+    // least loaded survivor), re-pinning session 7 there.  The session's
+    // next request follows the pin past the idle replica 3.
+    ClusterSimulator sim(RoutePolicy::kSessionAffinity);
+    for (int i = 0; i < 4; ++i) {
+      sim.AddReplica(DisaggReplica(ReplicaRole::kUnified));
+    }
+    sim.ScheduleKill({0.5, 0});
+    sim.ScheduleKill({1.0, 1});
+    const FleetStats s =
+        sim.Run({request(0, 7, 0.0, 2000), request(1, 7, 1.5, 16)});
+    ExpectConservation(s);
+    EXPECT_EQ(s.lost_requests, 2u);
+    EXPECT_EQ(s.retried_requests, 2u);
+    EXPECT_EQ(s.max_retry_attempts, 2u);
+    EXPECT_EQ(s.completed, 2u);
+    EXPECT_EQ(s.replicas[2].submitted, 2u);
+    EXPECT_EQ(s.replicas[3].submitted, 0u);
+  }
+  {
+    SCOPED_TRACE("decode placement after a prefill handoff");
+    // Session 5's continuation takes decode replica 1 (a free-KV tie) and
+    // pins it; session 6's goes to replica 2, which has more free KV;
+    // session 5's next continuation follows its pin back to replica 1.
+    ClusterSimulator sim(RoutePolicy::kLeastOutstanding);
+    sim.AddReplica(DisaggReplica(ReplicaRole::kPrefill));
+    sim.AddReplica(DisaggReplica(ReplicaRole::kDecode));
+    sim.AddReplica(DisaggReplica(ReplicaRole::kDecode));
+    const FleetStats s =
+        sim.Run({request(0, 5, 0.0, 2000), request(1, 6, 0.5, 16),
+                 request(2, 5, 1.0, 16)});
+    ExpectConservation(s);
+    EXPECT_EQ(s.disagg.migrated_requests, 3u);
+    EXPECT_EQ(s.replicas[1].submitted, 2u);
+    EXPECT_EQ(s.replicas[2].submitted, 1u);
+  }
+}
+
 TEST(DisaggTest, BackoffDelaysRetriesButLosesNothing) {
   RetryPolicy retry;
   retry.base_backoff_seconds = 0.25;

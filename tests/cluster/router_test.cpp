@@ -297,18 +297,6 @@ TEST(RouterScorerTest, PrefixAwareDegeneratesToStickinessWhenDisjoint) {
   EXPECT_EQ(router.Route(SignedReq(1, 9, {43}), views), 1u);
 }
 
-TEST(RouterScorerTest, CustomPipelineOverridesPreset) {
-  // The pipeline is data: swap in a pure predicted-TTFT scorer.
-  Router router(RoutePolicy::kRoundRobin);
-  router.set_pipeline({{ScoreTerm::kPredictedTtft, 1.0}});
-  std::vector<ReplicaView> views(3);
-  views[0].est_ttft_seconds = 0.8;
-  views[1].est_ttft_seconds = 0.2;
-  views[2].est_ttft_seconds = 0.5;
-  EXPECT_EQ(router.Route(Req(0), views), 1u);
-  EXPECT_EQ(router.Route(Req(1), views), 1u);  // no rotation term, no cursor
-}
-
 TEST(RouterScorerTest, DecodePrefixOverlapOutranksStickiness) {
   // Legacy decode placement would stay with the session's old decode home;
   // prefix_aware follows the migrating KV's shared blocks instead.

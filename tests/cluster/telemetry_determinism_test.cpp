@@ -54,7 +54,6 @@ FleetStats RunCanonicalEpisode(obs::TraceRecorder* recorder,
   AutoscaleConfig autoscale;
   autoscale.cooldown_seconds = 2.0;
   autoscale.tick_seconds = 0.5;
-  autoscale.cost_aware = true;
   AutoscalePool decode_pool;
   decode_pool.role = ReplicaRole::kDecode;
   decode_pool.spec = CanonicalReplica(ReplicaRole::kDecode);

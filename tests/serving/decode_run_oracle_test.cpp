@@ -3,9 +3,10 @@
 // advance a fixed decode batch many iterations per call, and a reference copy
 // of the scheduler that only ever runs the one-iteration Step, with one
 // KvBlockManager::AppendToken per sequence per iteration.  After every call
-// both must agree on the stats, completions, handoffs, drops, every block
-// table and the free list, and the real scheduler's kDecodeStep trace spans
-// must be the reference's iterations.  The mix reaches preemption-level KV
+// both must agree on the stats, completions, handoffs, every block table and
+// the free list, and the real scheduler's kDecodeStep trace spans must be
+// the reference's iterations and its kPoolDrop instants the reference's
+// drops.  The mix reaches preemption-level KV
 // pressure, chunked prefill, prefill-only handoffs, migrated imports,
 // slowdown changes and full batches.
 //
@@ -13,7 +14,7 @@
 // replica behind its clock: after every StepUntil and every mutation, no
 // iteration a copy of the reference would start before the real
 // scheduler's Horizon() changes outstanding, the free blocks, the
-// prefix-index epoch, completions, handoffs or drops.
+// prefix-index epoch, completions, handoffs or the drop count.
 
 #include <gtest/gtest.h>
 
@@ -353,7 +354,12 @@ void ExpectSame(const ContinuousBatchScheduler& real,
     EXPECT_EQ(x.kv.blocks, y.kv.blocks);
     EXPECT_EQ(x.ready, y.ready);
   }
-  EXPECT_EQ(real.dropped_ids(), ref.dropped_ids());
+  // The real scheduler keeps no drop log; its kPoolDrop instants are it.
+  std::vector<SeqId> dropped;
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (e.type == obs::TraceEventType::kPoolDrop) dropped.push_back(e.id);
+  }
+  EXPECT_EQ(dropped, ref.dropped_ids());
 
   const KvBlockManager& p = real.pool();
   const KvBlockManager& q = ref.pool();
@@ -395,7 +401,7 @@ auto FleetReads(const ReferenceScheduler& s) {
   return std::make_tuple(s.running() + s.waiting(), s.pool().free_blocks(),
                          s.pool().prefix_index().epoch(),
                          s.completions().size(), s.handoffs().size(),
-                         s.dropped_ids().size(), s.HasWork());
+                         s.stats().dropped, s.HasWork());
 }
 
 /// The horizon contract: a copy of the reference runs every iteration that

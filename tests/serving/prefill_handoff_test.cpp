@@ -1,10 +1,13 @@
 // Scheduler-level disaggregation hooks: prefill-only completion + KV export
-// handoff, AcceptMigrated continuations (no re-prefill), ready-time gating,
-// and the chunked-prefill PredictTtft credit for already-processed chunks.
+// handoff, the completion and handoff outboxes, AcceptMigrated
+// continuations (no re-prefill), ready-time gating, and the chunked-prefill
+// PredictTtft credit for already-processed chunks.
 
 #include "serving/scheduler.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 namespace liquid::serving {
 namespace {
@@ -100,6 +103,49 @@ TEST(PrefillHandoffTest, AcceptMigratedSkipsPrefillCharge) {
   const RequestTiming& t = decode.completions()[0];
   EXPECT_EQ(t.generated, 16u);
   EXPECT_DOUBLE_EQ(t.first_token, h.request.first_token_time);
+}
+
+TEST(PrefillHandoffTest, TakeOutboxesEmptiesThemAndLaterOutputStartsFresh) {
+  const ServingEngine engine = MakeEngine();
+  ContinuousBatchScheduler sched(engine, 256, 16);
+  Request handed;
+  handed.id = 1;
+  handed.prompt_tokens = 64;
+  handed.max_new_tokens = 8;
+  handed.prefill_only = true;
+  sched.Submit(handed);
+  sched.Submit({2, 32, 2});
+  while (sched.Step()) {
+  }
+  ASSERT_EQ(sched.completions().size(), 1u);
+  ASSERT_EQ(sched.handoffs().size(), 1u);
+
+  // The caller's stale contents are discarded, not handed back.
+  std::vector<RequestTiming> done(3);
+  std::vector<PrefillHandoff> handoffs(2);
+  sched.TakeOutboxes(done, handoffs);
+  EXPECT_TRUE(sched.completions().empty());
+  EXPECT_TRUE(sched.handoffs().empty());
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].id, 2u);
+  ASSERT_EQ(handoffs.size(), 1u);
+  EXPECT_EQ(handoffs[0].request.id, 1u);
+
+  // Later output lands in fresh outboxes: only what finished since the
+  // swap, and a second swap returns exactly that.
+  sched.Submit({3, 16, 2, sched.Now()});
+  while (sched.Step()) {
+  }
+  ASSERT_EQ(sched.completions().size(), 1u);
+  EXPECT_EQ(sched.completions()[0].id, 3u);
+  EXPECT_TRUE(sched.handoffs().empty());
+  sched.TakeOutboxes(done, handoffs);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].id, 3u);
+  EXPECT_TRUE(handoffs.empty());
+  EXPECT_TRUE(sched.completions().empty());
+  EXPECT_EQ(sched.stats().completed, 2u);
+  EXPECT_EQ(sched.stats().prefill_handoffs, 1u);
 }
 
 TEST(PrefillHandoffTest, ReadyTimeGatesAdmission) {

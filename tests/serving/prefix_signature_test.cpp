@@ -157,10 +157,9 @@ TEST(PrefixSignatureTest, DisjointTracesShareNothing) {
 }
 
 /// The router's prefix_overlap reading for `request` against one replica
-/// holding `index`.
+/// holding `index`: the first term of the prefix_aware preset.
 double OverlapScore(const TimedRequest& request, const PrefixIndex& index) {
   cluster::Router router(cluster::RoutePolicy::kPrefixAware);
-  router.set_pipeline({{cluster::ScoreTerm::kPrefixOverlap, 1.0}});
   std::vector<cluster::ReplicaView> views(1);
   views[0].prefix_index = &index;
   cluster::RouteExplain explain;
