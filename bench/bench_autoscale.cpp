@@ -13,7 +13,8 @@
 //
 // Exit status is nonzero unless the autoscaled fleet strictly lowers
 // $/1M tokens versus the fixed split at equal-or-better p99 TPOT on every
-// tail length, so the bench doubles as a regression check.
+// tail length, or if any fleet breaks a law of CheckFleetInvariants, so the
+// bench doubles as a regression check.
 //
 // Usage: bench_autoscale [--quick] [--seed N] [--trace-out PATH]
 //                        [--metrics-out PATH] [--json-out PATH]
@@ -100,7 +101,7 @@ FleetStats RunFixed(const std::vector<serving::TimedRequest>& trace) {
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
   for (int i = 0; i < 2; ++i) sim.AddReplica(Replica(ReplicaRole::kPrefill));
   for (int i = 0; i < 4; ++i) sim.AddReplica(Replica(ReplicaRole::kDecode));
-  return sim.Run(trace);
+  return bench::Checked(sim.Run(trace));
 }
 
 FleetStats RunAutoscaled(const std::vector<serving::TimedRequest>& trace,
@@ -141,7 +142,7 @@ FleetStats RunAutoscaled(const std::vector<serving::TimedRequest>& trace,
   for (int i = 0; i < 2; ++i) sim.AddReplica(Replica(ReplicaRole::kPrefill));
   for (int i = 0; i < 4; ++i) sim.AddReplica(Replica(ReplicaRole::kDecode));
   sim.AttachTelemetry(recorder, metrics);
-  return sim.Run(trace);
+  return bench::Checked(sim.Run(trace));
 }
 
 void AddRow(Table& table, const std::string& label, const FleetStats& s) {

@@ -9,7 +9,8 @@
 //      queue depth vs. windowed p99 TTFT as the scale trigger.
 //
 // Exit status is nonzero if SLO admission control fails to bound p99 TTFT
-// versus unbounded queueing, so the bench doubles as a regression check.
+// versus unbounded queueing, or if any fleet breaks a law of
+// CheckFleetInvariants, so the bench doubles as a regression check.
 //
 // Usage: bench_chaos_slo [--quick] [--seed N] [--trace-out PATH]
 //                        [--metrics-out PATH] [--json-out PATH]
@@ -66,7 +67,7 @@ FleetStats RunChaos(const std::vector<serving::TimedRequest>& trace,
   for (int i = 0; i < 3; ++i) sim.AddReplica(Replica());
   sim.ScheduleKill({trace[trace.size() / 2].arrival_seconds, /*replica=*/1});
   sim.AttachTelemetry(recorder, metrics);
-  return sim.Run(trace);
+  return bench::Checked(sim.Run(trace));
 }
 
 void AddChaosRow(Table& table, const char* label, const FleetStats& s) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,6 +99,19 @@ inline bool WriteFleetArtifact(const std::string& path,
   Provenance().Write(w);
   w.EndObject();
   return WriteJsonArtifact(path, w.TakeString(), "fleet stats");
+}
+
+/// `stats`, once it passes cluster::CheckFleetInvariants.  A broken law is
+/// a simulator bug: each is printed to stderr and the bench exits 1, which
+/// is what checks the laws in Release builds, where ClusterSimulator::Run's
+/// own assert is compiled out.
+inline cluster::FleetStats Checked(cluster::FleetStats stats) {
+  const std::vector<std::string> broken = cluster::CheckFleetInvariants(stats);
+  for (const std::string& law : broken) {
+    std::fprintf(stderr, "FAILED: fleet invariant broken: %s\n", law.c_str());
+  }
+  if (!broken.empty()) std::exit(1);
+  return stats;
 }
 
 inline const simgpu::HardwareSpec& H800() {

@@ -14,7 +14,8 @@
 //
 // Both tables report $/1M tokens from per-pool $/hour prices.  Exit status
 // is nonzero if no disaggregated split beats the unified baseline's p99
-// TPOT, so the bench doubles as a regression check.
+// TPOT, or if any fleet breaks a law of CheckFleetInvariants, so the bench
+// doubles as a regression check.
 //
 // Usage: bench_disagg [--quick] [--seed N] [--trace-out PATH]
 //                     [--metrics-out PATH] [--json-out PATH]
@@ -92,7 +93,7 @@ FleetStats RunSplit(const std::vector<serving::TimedRequest>& trace,
     sim.AddReplica(Replica(ReplicaRole::kDecode));
   }
   sim.AttachTelemetry(recorder, metrics);
-  return sim.Run(trace);
+  return bench::Checked(sim.Run(trace));
 }
 
 FleetStats RunUnified(const std::vector<serving::TimedRequest>& trace,
@@ -102,7 +103,7 @@ FleetStats RunUnified(const std::vector<serving::TimedRequest>& trace,
     ReplicaSpec spec = Replica(ReplicaRole::kUnified);
     sim.AddReplica(spec);
   }
-  return sim.Run(trace);
+  return bench::Checked(sim.Run(trace));
 }
 
 void AddRow(Table& table, const std::string& label, const FleetStats& s) {

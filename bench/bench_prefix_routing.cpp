@@ -14,7 +14,8 @@
 //   * on a >= 50% shared-prefix mix, prefix_aware beats affinity on p99 TTFT
 //     and saves strictly more prefill tokens;
 //   * on the fully disjoint mix it stays within noise of affinity (no tax
-//     for carrying the index around).
+//     for carrying the index around);
+//   * every fleet keeps the laws of CheckFleetInvariants.
 //
 // Usage: bench_prefix_routing [--quick] [--seed N] [--trace-out PATH]
 //                             [--metrics-out PATH] [--json-out PATH]
@@ -78,7 +79,7 @@ FleetStats RunPreset(RoutePolicy policy,
     sim.AddReplica(UnifiedReplica());
   }
   sim.AttachTelemetry(recorder, metrics);
-  return sim.Run(trace);
+  return bench::Checked(sim.Run(trace));
 }
 
 }  // namespace

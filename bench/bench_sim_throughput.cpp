@@ -15,9 +15,10 @@
 // type), so a change that silently makes the simulator do more work per
 // request fails the build even on noisy CI hosts.
 //
-// Exit status is nonzero if any fleet breaks request conservation
-// (completed + dropped + rejected + lost != submitted + retried) or
-// processes zero events, so the bench doubles as a large-trace soak test.
+// Exit status is nonzero if any fleet breaks a law of
+// cluster::CheckFleetInvariants (request conservation, the retry budget,
+// nothing left in migration, ...) or processes zero events, so the bench
+// doubles as a large-trace soak test.
 //
 // Usage: bench_sim_throughput [--quick] [--seed N] [--requests N]
 //                             [--json-out PATH] [--profile-out BASE]
@@ -79,7 +80,7 @@ std::vector<serving::TimedRequest> ShortPromptMix(std::size_t count,
 FleetStats RunUnified(const std::vector<serving::TimedRequest>& trace) {
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding);
   for (int i = 0; i < 6; ++i) sim.AddReplica(Replica(ReplicaRole::kUnified));
-  return sim.Run(trace);
+  return bench::Checked(sim.Run(trace));
 }
 
 FleetStats RunDisagg(const std::vector<serving::TimedRequest>& trace) {
@@ -89,12 +90,7 @@ FleetStats RunDisagg(const std::vector<serving::TimedRequest>& trace) {
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
   for (int i = 0; i < 2; ++i) sim.AddReplica(Replica(ReplicaRole::kPrefill));
   for (int i = 0; i < 4; ++i) sim.AddReplica(Replica(ReplicaRole::kDecode));
-  return sim.Run(trace);
-}
-
-bool Conserved(const FleetStats& s) {
-  return s.completed + s.dropped + s.rejected_requests + s.lost_requests ==
-         s.submitted + s.retried_requests;
+  return bench::Checked(sim.Run(trace));
 }
 
 struct FleetRun {
@@ -184,14 +180,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Soak gate: conservation and nonzero work everywhere.
+  // Soak gate: nonzero work everywhere (every run already passed
+  // CheckFleetInvariants on its way out of Run).
   bool ok = true;
   for (const FleetRun& run : runs) {
     const FleetStats& s = run.stats;
-    if (!Conserved(s) || s.completed == 0 ||
-        s.sim_throughput.events_processed == 0) {
-      std::printf("FAIL: %s broke conservation or did no work\n",
-                  run.name.c_str());
+    if (s.completed == 0 || s.sim_throughput.events_processed == 0) {
+      std::printf("FAIL: %s did no work\n", run.name.c_str());
       ok = false;
     }
   }

@@ -349,14 +349,19 @@ bool ClusterSimulator::KillReplica(std::size_t id, double now) {
   router_.ForgetReplica(id);
   ++tally_.killed_replicas;
 
-  const serving::ContinuousBatchScheduler::ForfeitedWork forfeit =
-      victim.scheduler->Forfeit();
-  tally_.lost_requests += forfeit.requests.size();
-  tally_.wasted_tokens += forfeit.wasted_tokens;
+  // Everything in flight dies with the replica: the tokens each request
+  // generated (all folded into `progress` by the drain) are wasted.
+  const std::vector<serving::Request> lost_requests = victim.scheduler->Drain();
+  double wasted = 0;
+  for (const serving::Request& r : lost_requests) {
+    wasted += static_cast<double>(r.progress);
+  }
+  tally_.lost_requests += lost_requests.size();
+  tally_.wasted_tokens += wasted;
   if (trace_ != nullptr) {
     trace_->Instant(obs::TraceEventType::kKill, now, obs::kFleetPid,
                     obs::kTidChaos, id, static_cast<double>(id),
-                    static_cast<double>(forfeit.requests.size()));
+                    static_cast<double>(lost_requests.size()));
   }
 
   // With no replica left, the retries below would route into an empty fleet
@@ -366,7 +371,7 @@ bool ClusterSimulator::KillReplica(std::size_t id, double now) {
   // Re-route storm: every lost request is re-submitted from scratch.  The
   // RetryPolicy meters the storm: backoff delays the re-route, the budget
   // caps it.
-  for (const serving::Request& lost : forfeit.requests) RetryLost(lost, now);
+  for (const serving::Request& lost : lost_requests) RetryLost(lost, now);
   return true;
 }
 
@@ -1188,6 +1193,7 @@ FleetStats ClusterSimulator::Run(
   if (st.sim_seconds > 0) {
     st.wall_seconds_per_sim_hour = st.wall_seconds / (st.sim_seconds / 3600.0);
   }
+  assert(CheckFleetInvariants(stats).empty());
   return stats;
 }
 

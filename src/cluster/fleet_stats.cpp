@@ -83,6 +83,45 @@ void FinalizeFleetStats(const std::vector<serving::RequestTiming>& timings,
                           : 0;
 }
 
+std::vector<std::string> CheckFleetInvariants(const FleetStats& s) {
+  std::vector<std::string> broken;
+  const std::size_t out =
+      s.completed + s.dropped + s.rejected_requests + s.lost_requests;
+  if (out != s.submitted + s.retried_requests) {
+    broken.push_back(Format(
+        "conservation: completed %zu + dropped %zu + rejected %zu + lost %zu "
+        "= %zu != submitted %zu + retried %zu",
+        s.completed, s.dropped, s.rejected_requests, s.lost_requests, out,
+        s.submitted, s.retried_requests));
+  }
+  if (s.lost_requests != s.retried_requests + s.retries_exhausted) {
+    broken.push_back(Format(
+        "retry budget: lost %zu != retried %zu + retries_exhausted %zu",
+        s.lost_requests, s.retried_requests, s.retries_exhausted));
+  }
+  if (s.disagg.in_migration != 0) {
+    broken.push_back(Format("in migration: %zu requests still on the wire",
+                            s.disagg.in_migration));
+  }
+  if (s.scale_ups + s.scale_downs != s.scale_events.size()) {
+    broken.push_back(Format(
+        "scale events: scale_ups %zu + scale_downs %zu != %zu events",
+        s.scale_ups, s.scale_downs, s.scale_events.size()));
+  }
+  std::string negative;
+  if (s.wasted_tokens < 0) {
+    negative += Format(" wasted_tokens %g", s.wasted_tokens);
+  }
+  for (const ReplicaReport& r : s.replicas) {
+    if (r.billed_seconds < 0) {
+      negative += Format(" replica %zu billed_seconds %g", r.id,
+                         r.billed_seconds);
+    }
+  }
+  if (!negative.empty()) broken.push_back("non-negative:" + negative);
+  return broken;
+}
+
 void PrintFleetStats(const FleetStats& stats) {
   Table fleet("Fleet summary");
   fleet.SetHeader({"metric", "p50", "p95", "p99"});

@@ -2,8 +2,7 @@
 // Fleet-level serving metrics: the per-request timings every replica records
 // are pooled here into the percentiles operators put SLOs on — p50/p95/p99
 // TTFT, TPOT, and end-to-end latency — plus per-replica utilization and the
-// conservation counters (submitted == completed + dropped) the cluster tests
-// assert on.
+// outcome counters whose conservation laws CheckFleetInvariants states once.
 
 #include <cstddef>
 #include <cstdint>
@@ -108,6 +107,15 @@ struct SimThroughput {
   double events_per_sec = 0;
   double sim_seconds_per_wall_second = 0;
   double wall_seconds_per_sim_hour = 0;
+
+  /// Zeroes the host wall-clock fields, leaving what a fixed seed
+  /// reproduces, so two runs' reports can be compared whole.
+  void ClearWallClock() {
+    wall_seconds = 0;
+    events_per_sec = 0;
+    sim_seconds_per_wall_second = 0;
+    wall_seconds_per_sim_hour = 0;
+  }
 };
 
 struct FleetStats {
@@ -135,7 +143,9 @@ struct FleetStats {
   /// Highest TimedRequest::attempt any retry reached — 2+ means some request
   /// survived multiple kills before landing in a terminal bucket.
   std::uint32_t max_retry_attempts = 0;
-  double wasted_tokens = 0;  ///< tokens generated then lost with a replica
+  /// Tokens generated then thrown away: lost with a dead replica or
+  /// transfer, or recomputed after a KV import ran out of memory.
+  double wasted_tokens = 0;
   /// Replicas that suffered partial degradation (DegradeReplica slowdown)
   /// at some point in the run — they kept serving, just slower.
   std::size_t degraded_replicas = 0;
@@ -175,6 +185,20 @@ struct FleetStats {
   std::vector<ScaleEvent> scale_events;
   std::vector<ReplicaReport> replicas;
 };
+
+/// The laws every finished run obeys, whatever was killed, shed, degraded,
+/// retried, migrated or scaled:
+///   1. completed + dropped + rejected + lost == submitted + retried
+///   2. lost == retried + retries_exhausted
+///   3. disagg.in_migration == 0
+///   4. scale_ups + scale_downs == scale_events.size()
+///   5. wasted_tokens >= 0, and every replica's billed_seconds >= 0
+/// Returns one message per broken law, naming it and its terms; empty when
+/// all hold.  ClusterSimulator::Run asserts the result is empty.  Billing
+/// windows are not bounded by the span (a scale-down after the last
+/// completion bills past it), and replica clocks are not in FleetStats.
+[[nodiscard]] std::vector<std::string> CheckFleetInvariants(
+    const FleetStats& stats);
 
 /// Pools per-request timings into fleet percentiles and fills the derived
 /// fields (span, throughput, per-replica utilization) of `stats`.

@@ -263,12 +263,6 @@ std::optional<std::size_t> Router::RouteAmong(
   return ScoreRoute(input, replicas, pipeline_, explain);
 }
 
-std::optional<std::size_t> Router::Route(
-    const serving::TimedRequest& request,
-    const std::vector<ReplicaView>& replicas, RouteExplain* explain) {
-  return RouteAmong(request, replicas, PromptRoles(replicas), explain);
-}
-
 RouteDecision Router::Decide(const serving::TimedRequest& request,
                              const std::vector<ReplicaView>& replicas,
                              RouteExplain* explain) {

@@ -162,7 +162,7 @@ struct TermContribution {
   double value = 0;  ///< raw TermValue; the contribution is weight * value
 };
 
-/// Optional out-param of Decide/Route: why the pipeline picked its winner.
+/// Optional out-param of Decide: why the pipeline picked its winner.
 /// Capturing it costs one extra term-value copy per improved candidate, so
 /// callers only pass it when telemetry is attached.
 struct RouteExplain {
@@ -178,21 +178,16 @@ class Router {
         decode_pipeline_(DecodePipeline(policy)) {}
 
   /// Picks a destination among alive prompt-eligible replicas; ties break
-  /// toward the lowest index so routing stays deterministic.  Returns
-  /// nullopt when no replica is alive.  Placement only — no admission
-  /// control (see Decide).  With role_aware() on and a live prefill pool,
-  /// this is the least-loaded prefill replica; otherwise the configured
-  /// pipeline over unified replicas (decode replicas are a last resort).
-  [[nodiscard]] std::optional<std::size_t> Route(
-      const serving::TimedRequest& request,
-      const std::vector<ReplicaView>& replicas,
-      RouteExplain* explain = nullptr);
-
-  /// Route + SLO admission control.  If the pipeline's choice busts the TTFT
-  /// budget, falls back to the prompt-eligible replica with the lowest
-  /// predicted TTFT; if even that busts it, the request is rejected instead
-  /// of queued.  `explain` (optional) receives the winning replica's scorer
-  /// term breakdown for telemetry.
+  /// toward the lowest index so routing stays deterministic.  With
+  /// role_aware() on and a live prefill pool, this is the least-loaded
+  /// prefill replica; otherwise the configured pipeline over unified
+  /// replicas (decode replicas are a last resort).  kNoReplica when no
+  /// replica is alive.  Then SLO admission control: if the pipeline's
+  /// choice busts the TTFT budget, falls back to the prompt-eligible replica
+  /// with the lowest predicted TTFT; if even that busts it, the request is
+  /// rejected instead of queued.  Without a budget the placement is always
+  /// the pipeline's.  `explain` (optional) receives the winning replica's
+  /// scorer term breakdown for telemetry.
   [[nodiscard]] RouteDecision Decide(const serving::TimedRequest& request,
                                      const std::vector<ReplicaView>& replicas,
                                      RouteExplain* explain = nullptr);
@@ -272,7 +267,7 @@ class Router {
   [[nodiscard]] unsigned PromptRoles(
       const std::vector<ReplicaView>& replicas,
       std::size_t dead = static_cast<std::size_t>(-1)) const;
-  /// Route restricted to replicas whose role is in `roles`.
+  /// The prompt placement restricted to replicas whose role is in `roles`.
   [[nodiscard]] std::optional<std::size_t> RouteAmong(
       const serving::TimedRequest& request,
       const std::vector<ReplicaView>& replicas, unsigned roles,

@@ -577,39 +577,6 @@ std::vector<Request> ContinuousBatchScheduler::Drain() {
   return out;
 }
 
-ContinuousBatchScheduler::ForfeitedWork ContinuousBatchScheduler::Forfeit() {
-  run_state_ = RunState::kStale;
-  ForfeitedWork out;
-  out.requests.reserve(running_.size() + waiting_.size());
-  if (trace_ != nullptr) {
-    for (const Running& r : running_) {
-      trace_->AsyncEnd(obs::TraceEventType::kStageRun,
-                       stats_.simulated_seconds, r.request.id);
-    }
-    for (const Waiting& w : waiting_) {
-      trace_->AsyncEnd(obs::TraceEventType::kStageQueued,
-                       stats_.simulated_seconds, w.request.id);
-    }
-  }
-  // A running residency has `generated` more tokens not yet folded into
-  // `progress`; both are wasted.
-  const auto reset = [&](const Request& req, std::size_t generated) {
-    out.wasted_tokens += static_cast<double>(req.progress + generated);
-    out.requests.push_back(req.Original());
-  };
-  for (const Running& r : running_) {
-    pool_.Free(r.request.id);
-    reset(r.request, r.generated);
-  }
-  running_.clear();
-  for (const Waiting& w : waiting_) {
-    pool_.Free(w.request.id);  // no-op unless KV was imported before admission
-    reset(w.request, 0);
-  }
-  waiting_.clear();
-  return out;
-}
-
 double ContinuousBatchScheduler::RemainingPrefillSeconds(
     const Running& r) const {
   double eta = 0;

@@ -216,22 +216,12 @@ class ContinuousBatchScheduler {
   [[nodiscard]] double Horizon();
 
   /// Extracts every unfinished request (running first, preserving carried
-  /// timing state, then waiting) and frees their KV blocks.  Used by the
-  /// cluster layer to re-route work off a replica being scaled down.
+  /// timing state, then waiting) and frees their KV blocks.  Every token a
+  /// request generated here is folded into its `progress`.  Used by the
+  /// cluster layer to re-route work off a replica being scaled down, and on
+  /// a kill, where each request's `progress` is wasted work and its
+  /// Original() is what gets retried.
   std::vector<Request> Drain();
-
-  /// What an abrupt replica kill leaves behind: every unfinished request,
-  /// reset to its ORIGINAL form (unlike Drain, no timing or generation state
-  /// survives — the tokens already generated are wasted work, tallied in
-  /// `wasted_tokens`).  Original arrival times are kept so a retry's TTFT
-  /// charges the failed attempt.
-  struct ForfeitedWork {
-    std::vector<Request> requests;
-    double wasted_tokens = 0;  ///< tokens generated then lost with the replica
-  };
-
-  /// Aborts all in-flight work (kill semantics) and frees the KV pool.
-  ForfeitedWork Forfeit();
 
   /// TTFT estimate for a request of `prompt_tokens` arriving now: its own
   /// prefill, the prefills queued ahead of it, the REMAINING chunks of any

@@ -1,9 +1,12 @@
 // Disaggregated prefill/decode serving: role-aware routing, KV migration
 // end-to-end through the cluster simulator, graceful fallback to unified
-// serving (dead pools, unusable interconnect), retry budget/backoff, and the
-// extended conservation invariant.
+// serving (dead pools, unusable interconnect), and retry budget/backoff,
+// each run checked against CheckFleetInvariants.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "cluster/cluster_sim.hpp"
 #include "obs/trace_recorder.hpp"
@@ -38,16 +41,6 @@ std::vector<serving::TimedRequest> LongPromptTrace(std::size_t count,
   return serving::GenerateTrace(config, seed);
 }
 
-void ExpectConservation(const FleetStats& s) {
-  EXPECT_EQ(s.completed + s.dropped + s.rejected_requests + s.lost_requests,
-            s.submitted + s.retried_requests)
-      << "completed=" << s.completed << " dropped=" << s.dropped
-      << " rejected=" << s.rejected_requests << " lost=" << s.lost_requests
-      << " submitted=" << s.submitted << " retried=" << s.retried_requests;
-  EXPECT_EQ(s.lost_requests, s.retried_requests + s.retries_exhausted);
-  EXPECT_EQ(s.disagg.in_migration, 0u);  // nothing left on the wire
-}
-
 TEST(DisaggTest, PromptsPrefillThenMigrateAndComplete) {
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding);
   sim.AddReplica(DisaggReplica(ReplicaRole::kPrefill));
@@ -58,7 +51,7 @@ TEST(DisaggTest, PromptsPrefillThenMigrateAndComplete) {
 
   const auto trace = LongPromptTrace(40, 11);
   const FleetStats s = sim.Run(trace);
-  ExpectConservation(s);
+  EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
   EXPECT_EQ(s.submitted, 40u);
   EXPECT_EQ(s.completed, 40u);
   EXPECT_EQ(s.disagg.prefill_replicas, 2u);
@@ -93,7 +86,7 @@ TEST(DisaggTest, UnusableInterconnectFallsBackToUnifiedServing) {
 
   const auto trace = LongPromptTrace(30, 5);
   const FleetStats s = sim.Run(trace);
-  ExpectConservation(s);
+  EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
   EXPECT_EQ(s.completed, 30u);
   EXPECT_EQ(s.disagg.migrated_requests, 0u);
   EXPECT_EQ(s.disagg.prefill_handoffs, 0u);
@@ -113,7 +106,7 @@ TEST(DisaggTest, MigrationBudgetBustDecodesLocally) {
 
   const auto trace = LongPromptTrace(25, 7, /*rate=*/10.0);
   const FleetStats s = sim.Run(trace);
-  ExpectConservation(s);
+  EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
   EXPECT_EQ(s.completed, 25u);
   // Every handoff bailed to local decode: unified-per-request degradation.
   EXPECT_EQ(s.disagg.prefill_handoffs, 25u);
@@ -135,7 +128,7 @@ TEST(DisaggTest, DeadDecodePoolDecodesLocally) {
 
   const auto trace = LongPromptTrace(20, 3, /*rate=*/10.0);
   const FleetStats s = sim.Run(trace);
-  ExpectConservation(s);
+  EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
   EXPECT_EQ(s.killed_replicas, 1u);
   EXPECT_EQ(s.completed, 20u);
   EXPECT_EQ(s.disagg.migrated_requests, 0u);
@@ -159,7 +152,7 @@ TEST(DisaggTest, TargetDeathMidTransferReentersRetryPath) {
   // Kill the decode replica mid-run: transfers headed there are lost.
   sim.ScheduleKill({trace[trace.size() / 2].arrival_seconds, 1});
   const FleetStats s = sim.Run(trace);
-  ExpectConservation(s);
+  EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
   EXPECT_EQ(s.killed_replicas, 1u);
   EXPECT_GT(s.disagg.target_deaths, 0u);
   EXPECT_GT(s.lost_requests, 0u);
@@ -196,7 +189,7 @@ TEST(DisaggTest, GracefulScaleDownLosesNothingMidMigration) {
 
   const auto trace = LongPromptTrace(40, 29, /*rate=*/12.0);
   const FleetStats s = sim.Run(trace);
-  ExpectConservation(s);
+  EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
   EXPECT_GT(s.scale_downs, 0u);
   EXPECT_EQ(s.killed_replicas, 0u);
   EXPECT_EQ(s.lost_requests, 0u);       // graceful means graceful
@@ -239,7 +232,7 @@ TEST(DisaggTest, RemovedTargetWithDeadSourceRetriesTheOriginal) {
   EXPECT_TRUE(sim.RemoveReplica(decode));
 
   const FleetStats s = sim.Run({});
-  ExpectConservation(s);
+  EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
   EXPECT_EQ(s.submitted, 1u);
   EXPECT_EQ(s.lost_requests, 1u);
   EXPECT_EQ(s.retried_requests, 1u);
@@ -280,7 +273,7 @@ TEST(DisaggTest, RetryBudgetExhaustsInsteadOfStorming) {
   sim.ScheduleKill({mid, 0});
   sim.ScheduleKill({mid + 0.2, 1});
   const FleetStats s = sim.Run(trace);
-  ExpectConservation(s);
+  EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
   EXPECT_EQ(s.killed_replicas, 2u);
   EXPECT_GT(s.retries_exhausted, 0u);
   EXPECT_LE(s.max_retry_attempts, 1u);
@@ -313,7 +306,7 @@ TEST(DisaggTest, RequestsKeepSessionAndAttemptThroughRetriesAndHandoffs) {
     sim.ScheduleKill({1.0, 1});
     const FleetStats s =
         sim.Run({request(0, 7, 0.0, 2000), request(1, 7, 1.5, 16)});
-    ExpectConservation(s);
+    EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
     EXPECT_EQ(s.lost_requests, 2u);
     EXPECT_EQ(s.retried_requests, 2u);
     EXPECT_EQ(s.max_retry_attempts, 2u);
@@ -333,7 +326,7 @@ TEST(DisaggTest, RequestsKeepSessionAndAttemptThroughRetriesAndHandoffs) {
     const FleetStats s =
         sim.Run({request(0, 5, 0.0, 2000), request(1, 6, 0.5, 16),
                  request(2, 5, 1.0, 16)});
-    ExpectConservation(s);
+    EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
     EXPECT_EQ(s.disagg.migrated_requests, 3u);
     EXPECT_EQ(s.replicas[1].submitted, 2u);
     EXPECT_EQ(s.replicas[2].submitted, 1u);
@@ -357,7 +350,7 @@ TEST(DisaggTest, BackoffDelaysRetriesButLosesNothing) {
   const auto trace = serving::GenerateTrace(config, 31);
   sim.ScheduleKill({trace[trace.size() / 2].arrival_seconds, 1});
   const FleetStats s = sim.Run(trace);
-  ExpectConservation(s);
+  EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
   EXPECT_GT(s.lost_requests, 0u);
   EXPECT_EQ(s.retries_exhausted, 0u);  // unlimited budget, only delayed
   EXPECT_EQ(s.completed, s.submitted);
@@ -380,15 +373,18 @@ TEST(DisaggTest, RoleAwareRoutingUnitChecks) {
 
   // Prompts go to the least-loaded prefill replica — never the idle decode
   // or unified one while a prefill replica lives.
-  EXPECT_EQ(router.Route(request, views), std::optional<std::size_t>(1));
+  EXPECT_EQ(router.Decide(request, views).replica,
+            std::optional<std::size_t>(1));
 
   // Prefill pool dead: unified takes over; decode is still protected.
   views[0].alive = views[1].alive = false;
-  EXPECT_EQ(router.Route(request, views), std::optional<std::size_t>(3));
+  EXPECT_EQ(router.Decide(request, views).replica,
+            std::optional<std::size_t>(3));
 
   // Only decode replicas left: last resort, they serve prompts.
   views[3].alive = false;
-  EXPECT_EQ(router.Route(request, views), std::optional<std::size_t>(2));
+  EXPECT_EQ(router.Decide(request, views).replica,
+            std::optional<std::size_t>(2));
 }
 
 TEST(DisaggTest, RouteDecodePrefersAffinityThenFreeKv) {

@@ -1,6 +1,6 @@
 // SummarizePercentiles copies its samples once and selects p99, then p95 and
 // p50 below it; every result must be the double a separate Percentile call
-// returns.
+// returns.  CheckFleetInvariants names each broken law, and only those.
 
 #include "cluster/fleet_stats.hpp"
 
@@ -53,6 +53,70 @@ TEST(FleetStatsTest, SummarizePercentilesIsThreePercentileCalls) {
       ExpectBitEqual(latency, "latency");
     }
   }
+}
+
+/// A consistent hand-built report: 10 submitted, 2 lost to a kill (one
+/// retried, one over budget), the retry completed, 1 shed, 1 dropped, one
+/// scale-up.
+FleetStats ConsistentStats() {
+  FleetStats s;
+  s.submitted = 10;
+  s.completed = 7;
+  s.dropped = 1;
+  s.rejected_requests = 1;
+  s.lost_requests = 2;
+  s.retried_requests = 1;
+  s.retries_exhausted = 1;
+  s.wasted_tokens = 12;
+  s.scale_ups = 1;
+  s.scale_events.push_back(ScaleEvent{});
+  s.replicas.resize(2);
+  s.replicas[0].billed_seconds = 3;
+  s.replicas[1].id = 1;
+  return s;
+}
+
+using Violations = std::vector<std::string>;
+
+TEST(FleetStatsTest, CheckFleetInvariantsNamesEachBrokenLaw) {
+  EXPECT_EQ(CheckFleetInvariants(ConsistentStats()), Violations{});
+  EXPECT_EQ(CheckFleetInvariants(FleetStats{}), Violations{});
+
+  FleetStats s = ConsistentStats();
+  ++s.completed;  // a request counted twice
+  EXPECT_EQ(CheckFleetInvariants(s),
+            Violations{"conservation: completed 8 + dropped 1 + rejected 1 + "
+                       "lost 2 = 12 != submitted 10 + retried 1"});
+
+  s = ConsistentStats();
+  // A drop recounted as a loss that was neither retried nor exhausted: the
+  // totals still balance, the retry budget does not.
+  ++s.lost_requests;
+  --s.dropped;
+  EXPECT_EQ(CheckFleetInvariants(s),
+            Violations{"retry budget: lost 3 != retried 1 + "
+                       "retries_exhausted 1"});
+
+  s = ConsistentStats();
+  s.disagg.in_migration = 2;
+  EXPECT_EQ(CheckFleetInvariants(s),
+            Violations{"in migration: 2 requests still on the wire"});
+
+  s = ConsistentStats();
+  s.scale_downs = 1;
+  EXPECT_EQ(CheckFleetInvariants(s),
+            Violations{"scale events: scale_ups 1 + scale_downs 1 != 1 "
+                       "events"});
+
+  s = ConsistentStats();
+  s.wasted_tokens = -1;
+  EXPECT_EQ(CheckFleetInvariants(s),
+            Violations{"non-negative: wasted_tokens -1"});
+
+  s = ConsistentStats();
+  s.replicas[1].billed_seconds = -0.5;
+  EXPECT_EQ(CheckFleetInvariants(s),
+            Violations{"non-negative: replica 1 billed_seconds -0.5"});
 }
 
 }  // namespace

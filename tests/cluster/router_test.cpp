@@ -47,16 +47,16 @@ TEST(RouterTest, RoundRobinCyclesAndSkipsDeadReplicas) {
   Router router(RoutePolicy::kRoundRobin);
   std::vector<ReplicaView> views(3);
   views[1].alive = false;
-  EXPECT_EQ(router.Route(Req(0), views), 0u);
-  EXPECT_EQ(router.Route(Req(1), views), 2u);  // skips dead replica 1
-  EXPECT_EQ(router.Route(Req(2), views), 0u);
+  EXPECT_EQ(router.Decide(Req(0), views).replica, 0u);
+  EXPECT_EQ(router.Decide(Req(1), views).replica, 2u);  // skips dead replica 1
+  EXPECT_EQ(router.Decide(Req(2), views).replica, 0u);
 }
 
 TEST(RouterTest, NoAliveReplicaRoutesNowhere) {
   Router router(RoutePolicy::kRoundRobin);
   std::vector<ReplicaView> views(2);
   views[0].alive = views[1].alive = false;
-  EXPECT_FALSE(router.Route(Req(0), views).has_value());
+  EXPECT_FALSE(router.Decide(Req(0), views).replica.has_value());
 }
 
 TEST(RouterTest, LeastOutstandingPicksShortestQueue) {
@@ -65,7 +65,7 @@ TEST(RouterTest, LeastOutstandingPicksShortestQueue) {
   views[0].outstanding = 5;
   views[1].outstanding = 2;
   views[2].outstanding = 9;
-  EXPECT_EQ(router.Route(Req(0), views), 1u);
+  EXPECT_EQ(router.Decide(Req(0), views).replica, 1u);
 }
 
 TEST(RouterTest, LeastKvLoadPicksMostFreeBlocks) {
@@ -78,14 +78,14 @@ TEST(RouterTest, LeastKvLoadPicksMostFreeBlocks) {
   views[1].free_kv_blocks = 40;
   views[2].outstanding = 4;
   views[2].free_kv_blocks = 300;
-  EXPECT_EQ(router.Route(Req(0), views), 2u);
+  EXPECT_EQ(router.Decide(Req(0), views).replica, 2u);
 }
 
 TEST(RouterTest, LeastKvLoadTieBreaksTowardLowestIndex) {
   Router router(RoutePolicy::kLeastKvLoad);
   std::vector<ReplicaView> views(3);
   for (ReplicaView& v : views) v.free_kv_blocks = 7;
-  EXPECT_EQ(router.Route(Req(0), views), 0u);
+  EXPECT_EQ(router.Decide(Req(0), views).replica, 0u);
 }
 
 TEST(RouterTest, AffinityPinsSessionToFirstPlacement) {
@@ -94,13 +94,13 @@ TEST(RouterTest, AffinityPinsSessionToFirstPlacement) {
   views[0].outstanding = 9;
   views[1].outstanding = 0;
   views[2].outstanding = 9;
-  ASSERT_EQ(router.Route(Req(0, /*session=*/42), views), 1u);
+  ASSERT_EQ(router.Decide(Req(0, /*session=*/42), views).replica, 1u);
   // Even when another replica becomes less loaded, the session stays pinned.
   views[1].outstanding = 50;
-  EXPECT_EQ(router.Route(Req(1, 42), views), 1u);
-  EXPECT_EQ(router.Route(Req(2, 42), views), 1u);
+  EXPECT_EQ(router.Decide(Req(1, 42), views).replica, 1u);
+  EXPECT_EQ(router.Decide(Req(2, 42), views).replica, 1u);
   // A different session lands on the now least-loaded replica.
-  EXPECT_EQ(router.Route(Req(3, 43), views), 0u);
+  EXPECT_EQ(router.Decide(Req(3, 43), views).replica, 0u);
 }
 
 TEST(RouterTest, AffinityRepinsWhenReplicaForgotten) {
@@ -108,10 +108,10 @@ TEST(RouterTest, AffinityRepinsWhenReplicaForgotten) {
   std::vector<ReplicaView> views(2);
   views[0].outstanding = 0;
   views[1].outstanding = 3;
-  ASSERT_EQ(router.Route(Req(0, 7), views), 0u);
+  ASSERT_EQ(router.Decide(Req(0, 7), views).replica, 0u);
   router.ForgetReplica(0);
   views[0].alive = false;
-  EXPECT_EQ(router.Route(Req(1, 7), views), 1u);
+  EXPECT_EQ(router.Decide(Req(1, 7), views).replica, 1u);
 }
 
 TEST(RouterTest, RoundRobinRotationFairAfterForgettingRemovedReplica) {
@@ -121,29 +121,29 @@ TEST(RouterTest, RoundRobinRotationFairAfterForgettingRemovedReplica) {
   // rotation re-serves the replica just served and starves another.
   Router router(RoutePolicy::kRoundRobin);
   std::vector<ReplicaView> views(3);
-  EXPECT_EQ(router.Route(Req(0), views), 0u);
-  EXPECT_EQ(router.Route(Req(1), views), 1u);  // cursor now 2
+  EXPECT_EQ(router.Decide(Req(0), views).replica, 0u);
+  EXPECT_EQ(router.Decide(Req(1), views).replica, 1u);  // cursor now 2
   // Replica 0 dies; indices stay stable.
   router.ForgetReplica(0);
   views[0].alive = false;
   // Rotation continues with replica 2, then alternates 1/2 — no double-serve
   // of replica 1 and no starvation of replica 2.
-  EXPECT_EQ(router.Route(Req(2), views), 2u);
-  EXPECT_EQ(router.Route(Req(3), views), 1u);
-  EXPECT_EQ(router.Route(Req(4), views), 2u);
+  EXPECT_EQ(router.Decide(Req(2), views).replica, 2u);
+  EXPECT_EQ(router.Decide(Req(3), views).replica, 1u);
+  EXPECT_EQ(router.Decide(Req(4), views).replica, 2u);
 }
 
 TEST(RouterTest, RoundRobinStaleCursorClampedToShrunkenViews) {
   Router router(RoutePolicy::kRoundRobin);
   std::vector<ReplicaView> views(4);
   for (int i = 0; i < 4; ++i) {
-    (void)router.Route(Req(static_cast<unsigned>(i)), views);
+    (void)router.Decide(Req(static_cast<unsigned>(i)), views).replica;
   }
   // The fleet shrinks behind the router's back (no ForgetReplica call): a
   // stale cursor must still produce a valid, cycling rotation.
   views.resize(2);
-  const auto a = router.Route(Req(10), views);
-  const auto b = router.Route(Req(11), views);
+  const auto a = router.Decide(Req(10), views).replica;
+  const auto b = router.Decide(Req(11), views).replica;
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_LT(*a, 2u);
@@ -159,15 +159,15 @@ TEST(RouterTest, ForgetKilledReplicaDropsPinsAndRepins) {
   views[0].outstanding = 1;
   views[1].outstanding = 0;
   views[2].outstanding = 5;
-  ASSERT_EQ(router.Route(Req(0, /*session=*/9), views), 1u);
+  ASSERT_EQ(router.Decide(Req(0, /*session=*/9), views).replica, 1u);
   // Replica 1 is killed: forgotten, marked dead, still in the vector.
   router.ForgetReplica(1);
   views[1].alive = false;
   // The session re-places by least-outstanding among survivors...
-  EXPECT_EQ(router.Route(Req(1, 9), views), 0u);
+  EXPECT_EQ(router.Decide(Req(1, 9), views).replica, 0u);
   // ...and the new pin is sticky even when load shifts.
   views[0].outstanding = 50;
-  EXPECT_EQ(router.Route(Req(2, 9), views), 0u);
+  EXPECT_EQ(router.Decide(Req(2, 9), views).replica, 0u);
 }
 
 TEST(RouterTest, AffinityReplacementAfterKillWithoutForget) {
@@ -175,10 +175,10 @@ TEST(RouterTest, AffinityReplacementAfterKillWithoutForget) {
   // routed to; the session re-pins to an alive one.
   Router router(RoutePolicy::kSessionAffinity);
   std::vector<ReplicaView> views(2);
-  ASSERT_EQ(router.Route(Req(0, 5), views), 0u);
+  ASSERT_EQ(router.Decide(Req(0, 5), views).replica, 0u);
   views[0].alive = false;
   views[1].outstanding = 7;
-  EXPECT_EQ(router.Route(Req(1, 5), views), 1u);
+  EXPECT_EQ(router.Decide(Req(1, 5), views).replica, 1u);
 }
 
 TEST(RouterTest, DecideRejectsWhenAllReplicasBustBudget) {
@@ -267,7 +267,7 @@ TEST(RouterScorerTest, PrefixAwareRoutesToSharedBlocks) {
   views[1].prefix_index = &warm;  // holds the request's whole signature
   views[2].prefix_index = &cold;
   views[1].outstanding = 2;  // mild load must not scare the overlap away
-  EXPECT_EQ(router.Route(SignedReq(0, 5, {1, 2, 3, 4}), views), 1u);
+  EXPECT_EQ(router.Decide(SignedReq(0, 5, {1, 2, 3, 4}), views).replica, 1u);
 }
 
 TEST(RouterScorerTest, PrefixAwareLoadTermSpillsHotspots) {
@@ -280,9 +280,9 @@ TEST(RouterScorerTest, PrefixAwareLoadTermSpillsHotspots) {
   views[0].prefix_index = &warm;
   views[0].outstanding = 10;  // 2.0 overlap < 0.5 * 10 load penalty
   views[1].outstanding = 0;
-  EXPECT_EQ(router.Route(SignedReq(0, 5, {1, 2}), views), 1u);
+  EXPECT_EQ(router.Decide(SignedReq(0, 5, {1, 2}), views).replica, 1u);
   views[0].outstanding = 3;  // 2.0 overlap > 0.5 * 3: locality wins again
-  EXPECT_EQ(router.Route(SignedReq(1, 6, {1, 2}), views), 0u);
+  EXPECT_EQ(router.Decide(SignedReq(1, 6, {1, 2}), views).replica, 0u);
 }
 
 TEST(RouterScorerTest, PrefixAwareDegeneratesToStickinessWhenDisjoint) {
@@ -292,9 +292,10 @@ TEST(RouterScorerTest, PrefixAwareDegeneratesToStickinessWhenDisjoint) {
   std::vector<ReplicaView> views(2);
   views[0].outstanding = 1;
   views[1].outstanding = 0;
-  ASSERT_EQ(router.Route(SignedReq(0, 9, {42}), views), 1u);  // least loaded
+  // Least loaded.
+  ASSERT_EQ(router.Decide(SignedReq(0, 9, {42}), views).replica, 1u);
   views[0].outstanding = 0;  // load evens out: the pin keeps the session home
-  EXPECT_EQ(router.Route(SignedReq(1, 9, {43}), views), 1u);
+  EXPECT_EQ(router.Decide(SignedReq(1, 9, {43}), views).replica, 1u);
 }
 
 TEST(RouterScorerTest, DecodePrefixOverlapOutranksStickiness) {

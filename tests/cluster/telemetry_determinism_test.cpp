@@ -49,6 +49,7 @@ ReplicaSpec CanonicalReplica(ReplicaRole role) {
 /// The canonical telemetry episode: a 2P:4D disaggregated fleet with decode
 /// autoscaling, one mid-run kill, and a kilotoken mix — every trace hook
 /// fires (arrivals, routes, spans, migrations, kill, retries, scale events).
+/// The report's wall-clock fields are zeroed.
 FleetStats RunCanonicalEpisode(obs::TraceRecorder* recorder,
                                obs::MetricsRegistry* metrics) {
   AutoscaleConfig autoscale;
@@ -94,17 +95,8 @@ FleetStats RunCanonicalEpisode(obs::TraceRecorder* recorder,
   // victim is guaranteed alive at kill time regardless of decode shrinks.
   sim.ScheduleKill({trace[trace.size() / 2].arrival_seconds, /*replica=*/1});
   sim.AttachTelemetry(recorder, metrics);
-  return sim.Run(trace);
-}
-
-/// Zeroes the host-wall-clock SimThroughput fields, which legitimately vary
-/// run to run.  The deterministic counters (events_processed,
-/// engine_iterations, fleet_events, sim_seconds) stay in the comparison.
-FleetStats WithoutWallClock(FleetStats stats) {
-  stats.sim_throughput.wall_seconds = 0;
-  stats.sim_throughput.events_per_sec = 0;
-  stats.sim_throughput.sim_seconds_per_wall_second = 0;
-  stats.sim_throughput.wall_seconds_per_sim_hour = 0;
+  FleetStats stats = sim.Run(trace);
+  stats.sim_throughput.ClearWallClock();
   return stats;
 }
 
@@ -114,8 +106,7 @@ TEST(TelemetryDeterminismTest, AttachingTelemetryDoesNotPerturbTheRun) {
   obs::MetricsRegistry metrics;
   const FleetStats traced = RunCanonicalEpisode(&recorder, &metrics);
   // Byte-identical summaries: telemetry observed the identical simulation.
-  EXPECT_EQ(FleetStatsToJson(WithoutWallClock(untraced)),
-            FleetStatsToJson(WithoutWallClock(traced)));
+  EXPECT_EQ(FleetStatsToJson(untraced), FleetStatsToJson(traced));
   EXPECT_FALSE(recorder.empty());
   EXPECT_GT(metrics.rows(), 0u);
 }

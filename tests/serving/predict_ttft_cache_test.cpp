@@ -21,7 +21,7 @@ constexpr std::size_t kPoolBlocks = 64;  ///< 1024 tokens: preemption happens
 constexpr std::size_t kMaxBatch = 8;
 
 struct Op {
-  enum Kind { kSubmit, kStep, kAcceptMigrated, kSetSlowdown, kDrain, kForfeit };
+  enum Kind { kSubmit, kStep, kAcceptMigrated, kSetSlowdown, kDrain, kKill };
   Kind kind = kStep;
   Request request;      ///< kSubmit, kAcceptMigrated
   KvExport kv;          ///< kAcceptMigrated
@@ -47,8 +47,9 @@ void Apply(ContinuousBatchScheduler& sched, const Op& op) {
       // A scale-down that keeps the work: drained requests queue again.
       for (const Request& r : sched.Drain()) sched.Submit(r);
       break;
-    case Op::kForfeit:
-      (void)sched.Forfeit();
+    case Op::kKill:
+      // A kill: the drained work is lost.
+      (void)sched.Drain();
       break;
   }
 }
@@ -96,7 +97,7 @@ std::vector<Op> MakeOps(std::uint64_t seed, std::size_t count) {
     } else if (roll < 98) {
       op.kind = Op::kDrain;
     } else {
-      op.kind = Op::kForfeit;
+      op.kind = Op::kKill;
     }
     ops.push_back(op);
   }

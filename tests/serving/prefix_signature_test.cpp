@@ -163,7 +163,7 @@ double OverlapScore(const TimedRequest& request, const PrefixIndex& index) {
   std::vector<cluster::ReplicaView> views(1);
   views[0].prefix_index = &index;
   cluster::RouteExplain explain;
-  EXPECT_EQ(router.Route(request, views, &explain), 0u);
+  EXPECT_EQ(router.Decide(request, views, &explain).replica, 0u);
   return explain.terms.empty() ? -1.0 : explain.terms[0].value;
 }
 
