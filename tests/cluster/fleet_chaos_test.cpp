@@ -6,8 +6,8 @@
 // backoff, the interconnect (glacial links included), chunked prefill on
 // prefill replicas, a shared-prefix trace, and 0-3 kills and 0-2 degrades.
 // Every run must satisfy CheckFleetInvariants, and the floors at the end
-// keep each regime exercised.  Below it: two whole-stats determinism checks
-// and three hand-built kill and degrade scenarios.
+// keep each regime exercised.  Below it: three whole-stats determinism
+// checks and three hand-built kill and degrade scenarios.
 
 #include <gtest/gtest.h>
 
@@ -192,10 +192,12 @@ bool HasRole(const Scenario& s, ReplicaRole role) {
 }
 
 constexpr std::uint64_t kSeeds = 600;
-/// A split fleet whose kill lands mid-migration, and a shared-prefix trace
-/// with degrades and losses.
+/// A split fleet whose kill lands mid-migration, a shared-prefix trace with
+/// degrades and losses, and a ticking autoscaler that grows and shrinks
+/// through kills while SLO admission sheds load.
 constexpr std::uint64_t kDisaggSeed = 10;
 constexpr std::uint64_t kPrefixDegradeSeed = 11;
+constexpr std::uint64_t kAutoscaleKillSeed = 15;
 
 TEST(FleetChaosTest, InvariantsHoldAcrossTheConfigSpace) {
   // Seeds in which each regime occurred (totals for target deaths and
@@ -305,6 +307,15 @@ TEST(FleetChaosTest, PrefixDegradeSeedIsDeterministic) {
   EXPECT_GT(s.prefix_hits, 0u);
   EXPECT_GT(s.degraded_replicas, 0u);
   EXPECT_GT(s.lost_requests, 0u);
+}
+
+TEST(FleetChaosTest, AutoscaleKillSeedIsDeterministic) {
+  ASSERT_GT(RandomScenario(kAutoscaleKillSeed).autoscale.tick_seconds, 0.0);
+  const FleetStats s = ExpectDeterministic(kAutoscaleKillSeed);
+  EXPECT_GT(s.scale_ups, 0u);
+  EXPECT_GT(s.scale_downs, 0u);
+  EXPECT_GT(s.lost_requests, 0u);
+  EXPECT_GT(s.rejected_requests, 0u);
 }
 
 TEST(FleetChaosTest, KillingWholeFleetDropsBacklogButConserves) {

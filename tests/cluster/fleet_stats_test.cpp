@@ -1,6 +1,7 @@
 // SummarizePercentiles copies its samples once and selects p99, then p95 and
 // p50 below it; every result must be the double a separate Percentile call
-// returns.  CheckFleetInvariants names each broken law, and only those.
+// returns.  CheckFleetInvariants names each broken law, and only those; a
+// report that breaks several names them all, in the order of the laws.
 
 #include "cluster/fleet_stats.hpp"
 
@@ -78,10 +79,12 @@ FleetStats ConsistentStats() {
 
 using Violations = std::vector<std::string>;
 
-TEST(FleetStatsTest, CheckFleetInvariantsNamesEachBrokenLaw) {
+TEST(FleetStatsTest, CheckFleetInvariantsAcceptsConsistentStats) {
   EXPECT_EQ(CheckFleetInvariants(ConsistentStats()), Violations{});
   EXPECT_EQ(CheckFleetInvariants(FleetStats{}), Violations{});
+}
 
+TEST(FleetStatsTest, CheckFleetInvariantsNamesEachBrokenLaw) {
   FleetStats s = ConsistentStats();
   ++s.completed;  // a request counted twice
   EXPECT_EQ(CheckFleetInvariants(s),
@@ -117,6 +120,27 @@ TEST(FleetStatsTest, CheckFleetInvariantsNamesEachBrokenLaw) {
   s.replicas[1].billed_seconds = -0.5;
   EXPECT_EQ(CheckFleetInvariants(s),
             Violations{"non-negative: replica 1 billed_seconds -0.5"});
+}
+
+TEST(FleetStatsTest, CheckFleetInvariantsReportsEveryBrokenLawInOrder) {
+  FleetStats s = ConsistentStats();
+  ++s.completed;
+  ++s.retries_exhausted;
+  s.disagg.in_migration = 1;
+  s.scale_events.clear();
+  s.wasted_tokens = -2;
+  s.replicas[0].billed_seconds = -1;
+  s.replicas[1].billed_seconds = -3;
+  EXPECT_EQ(CheckFleetInvariants(s),
+            (Violations{"conservation: completed 8 + dropped 1 + rejected 1 + "
+                        "lost 2 = 12 != submitted 10 + retried 1",
+                        "retry budget: lost 2 != retried 1 + "
+                        "retries_exhausted 2",
+                        "in migration: 1 requests still on the wire",
+                        "scale events: scale_ups 1 + scale_downs 0 != 0 "
+                        "events",
+                        "non-negative: wasted_tokens -2 replica 0 "
+                        "billed_seconds -1 replica 1 billed_seconds -3"}));
 }
 
 }  // namespace
