@@ -17,8 +17,10 @@
 //
 // Exit status is nonzero if any fleet breaks a law of
 // cluster::CheckFleetInvariants (request conservation, the retry budget,
-// nothing left in migration, ...) or processes zero events, so the bench
-// doubles as a large-trace soak test.
+// nothing left in migration, ...), processes zero events, or if the
+// process's peak RSS ends more than 2 MiB + 64 B per request above its RSS
+// right after trace generation, so the bench doubles as a large-trace soak
+// test whose memory stays bounded by what the fleets keep per request.
 //
 // Usage: bench_sim_throughput [--quick] [--seed N] [--requests N]
 //                             [--json-out PATH] [--profile-out BASE]
@@ -44,6 +46,14 @@ using namespace liquid;
 using namespace liquid::cluster;
 
 namespace {
+
+/// The soak's memory bound above the trace.  Per request, a fleet keeps
+/// its TTFT, end-to-end and TPOT doubles (24 B, reserved once per run),
+/// plus on the disagg fleet the migration stall and the migrated TPOT
+/// (16 B, grown by doubling), with the rest as vector-growth slack; the
+/// fixed part covers engines, replicas and their KV pools.
+constexpr double kSoakFixedMib = 2.0;
+constexpr double kSoakBytesPerRequest = 64.0;
 
 ReplicaSpec Replica(ReplicaRole role) {
   ReplicaSpec spec;
@@ -142,6 +152,7 @@ int main(int argc, char** argv) {
   std::printf("generating %zu-request trace (seed %llu)...\n", count,
               static_cast<unsigned long long>(seed));
   const auto trace = ShortPromptMix(count, seed);
+  const double trace_rss_mb = bench::PeakRssMb();
 
   obs::MaybeEnableProfiler(flags);
 
@@ -180,8 +191,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Soak gate: nonzero work everywhere (every run already passed
-  // CheckFleetInvariants on its way out of Run).
+  // Soak gates: nonzero work everywhere (every run already passed
+  // CheckFleetInvariants on its way out of Run), and memory above the
+  // trace within the per-request bound.
   bool ok = true;
   for (const FleetRun& run : runs) {
     const FleetStats& s = run.stats;
@@ -189,6 +201,20 @@ int main(int argc, char** argv) {
       std::printf("FAIL: %s did no work\n", run.name.c_str());
       ok = false;
     }
+  }
+  const double above_trace_mb = bench::PeakRssMb() - trace_rss_mb;
+  const double bound_mb =
+      kSoakFixedMib +
+      kSoakBytesPerRequest * static_cast<double>(count) / (1024.0 * 1024.0);
+  std::printf(
+      "peak RSS above the trace: %.1f MiB (bound %.1f MiB = %.0f MiB + "
+      "%.0f B x %zu requests)\n",
+      above_trace_mb, bound_mb, kSoakFixedMib, kSoakBytesPerRequest, count);
+  if (above_trace_mb > bound_mb) {
+    std::printf("FAIL: peak RSS grew %.1f MiB past the trace, over the "
+                "%.1f MiB bound\n",
+                above_trace_mb, bound_mb);
+    ok = false;
   }
   std::printf("sim throughput soak: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

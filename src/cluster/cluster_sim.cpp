@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "obs/prof/wall_profiler.hpp"
 #include "util/wall_timer.hpp"
@@ -408,6 +409,7 @@ void ClusterSimulator::RetryLost(const serving::Request& lost, double now) {
   retry.max_new_tokens = original.max_new_tokens;
   retry.session = original.session;
   retry.attempt = original.attempt + 1;
+  retry.migrated = original.migrated;
   retry.prefix = original.prefix;
   if (retry_.max_attempts > 0 && retry.attempt > retry_.max_attempts) {
     if (trace_ != nullptr) {
@@ -481,9 +483,8 @@ void ClusterSimulator::Harvest() {
         runtime.ttft_window.Add(t.finish, t.Ttft());
         if (t.generated > 1) runtime.tpot_window.Add(t.finish, t.Tpot());
       }
+      samples_.Add(t);
     }
-    timings_.insert(timings_.end(), harvest_done_.begin(),
-                    harvest_done_.end());
     for (const serving::PrefillHandoff& handoff : harvest_handoffs_) {
       work_observed_ = true;
       PlanHandoff(r, handoff);
@@ -561,7 +562,6 @@ void ClusterSimulator::LandMigrationsThrough(double deadline) {
     ++tally_.disagg.migrated_requests;
     tally_.disagg.migrated_kv_bytes += m.bytes;
     migration_seconds_.push_back(m.arrive - m.start);
-    migrated_ids_.insert(m.continuation.id);
     if (trace_ != nullptr) {
       trace_->Instant(obs::TraceEventType::kMigrationLand, m.arrive,
                       obs::kFleetPid, obs::kTidInterconnect, m.continuation.id,
@@ -572,7 +572,9 @@ void ClusterSimulator::LandMigrationsThrough(double deadline) {
       trace_->Flow(obs::TracePhase::kFlowStep, m.arrive,
                    obs::ReplicaPid(m.dst), obs::kTidEngine, m.continuation.id);
     }
-    DeliverContinuation(dst, m.continuation, m.kv, m.arrive);
+    serving::Request continuation = m.continuation;
+    continuation.migrated = true;
+    DeliverContinuation(dst, std::move(continuation), m.kv, m.arrive);
   }
 }
 
@@ -1113,9 +1115,9 @@ FleetStats ClusterSimulator::Run(
     std::sort(sorted.begin(), sorted.end(), arrival_order);
     requests = &sorted;
   }
-  // Each request completes at most once, so the timing log is one
+  // Each request completes at most once, so each sample array is one
   // allocation sized by the trace rather than a chain of doublings.
-  timings_.reserve(timings_.size() + requests->size());
+  samples_.Reserve(requests->size());
 
   for (const serving::TimedRequest& request : *requests) {
     ProcessEventsThrough(request.arrival_seconds);
@@ -1141,12 +1143,6 @@ FleetStats ClusterSimulator::Run(
   stats.replicas_final = ActiveReplicas();
   stats.disagg.in_migration = coordinator_.InFlight();
   stats.disagg.migration_seconds = SummarizePercentiles(migration_seconds_);
-  std::vector<double> migrated_tpot;
-  for (const serving::RequestTiming& t : timings_) {
-    if (t.generated > 1 && migrated_ids_.contains(t.id)) {
-      migrated_tpot.push_back(t.Tpot());
-    }
-  }
   for (const Replica& r : replicas_) {
     ReplicaReport report;
     report.id = r.id;
@@ -1168,9 +1164,8 @@ FleetStats ClusterSimulator::Run(
           r.spec.role == ReplicaRole::kDecode ? 1 : 0;
     }
   }
-  stats.disagg.migrated_tpot = SummarizePercentiles(migrated_tpot);
   const std::size_t routing_drops = stats.dropped;  // kept by Finalize rescan
-  FinalizeFleetStats(timings_, stats);
+  FinalizeFleetStats(samples_, stats);
   stats.dropped += routing_drops;
 
   // Simulator-throughput meter: how much simulated work this Run() did per

@@ -26,8 +26,15 @@
 //   completed + dropped + rejected + lost == submitted + retried  (+ the
 //   retry budget identity lost == retried + retries_exhausted)
 // across every scale/kill/shed/migration event, with zero requests left in
-// migration at the end of a run.  Per-request timings from every replica
-// pool into FleetStats.
+// migration at the end of a run.
+//
+// The fleet keeps no per-request log.  Harvest adds each completion to the
+// LatencySamples whose percentiles Run() selects in place, and drops it.  A
+// request's lineage rides on the request: session, attempt, and `migrated`,
+// which LandMigrationsThrough sets on the continuation it delivers to a
+// live decode replica and Request::Original(), RetryLost's retry and
+// Request::FromTimed keep, so DisaggStats::migrated_tpot counts a request
+// that ever landed a migration wherever its last attempt completes.
 //
 // The event pump.  A fleet event at time t (an arrival, kill, degrade,
 // migration landing, retry release or autoscale tick) steps only the replicas
@@ -43,11 +50,10 @@
 // degrade victim before SetSlowdown, the kill and removal victims, and, after
 // the last event, every replica once, so each ends on the clock a full step
 // at every event would give.  Completions and handoffs are taken out of the
-// outboxes of the replicas an event stepped, in id order, so the fleet holds
+// outboxes of the replicas an event stepped, in id order, so the fleet sees
 // each finished request once, and the routing views are kept between
 // decisions and refreshed only for the replicas stepped or touched since the
-// last one.  A request carries its own retry identity (session, attempt), so
-// the fleet keeps no per-request map of what it routed.
+// last one.
 //
 // Where every replica is still stepped at every event: with a TraceRecorder
 // or MetricsRegistry attached (the trace keeps event insertion order and
@@ -61,7 +67,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/disagg/coordinator.hpp"
@@ -359,8 +364,8 @@ class ClusterSimulator {
   /// re-route after backoff — or abandons the request when the budget is
   /// gone.
   void RetryLost(const serving::Request& lost, double now);
-  /// Takes the outboxes of the replicas in stepped_ (in id order): feeds
-  /// the signal windows and timings_ from each completion and plans a
+  /// Takes the outboxes of the replicas in stepped_ (in id order): adds
+  /// each completion to samples_ and the signal windows, and plans a
   /// migration for each prefill handoff; then empties stepped_.  A replica
   /// no event stepped has empty outboxes.
   void Harvest();
@@ -370,8 +375,9 @@ class ClusterSimulator {
   /// first token).
   void DeliverContinuation(Replica& dst, serving::Request continuation,
                            const serving::KvExport& kv, double ready);
-  /// Lands every due migration: AcceptMigrated on a live target, the retry
-  /// path when the target died mid-transfer.
+  /// Lands every due migration: marks the continuation `migrated` and
+  /// delivers it to a live target, or takes the retry path when the target
+  /// died mid-transfer.
   void LandMigrationsThrough(double deadline);
   void ReleaseRetriesThrough(double deadline);
   /// One autoscaler evaluation: per-pool signals, at most one scale event
@@ -449,17 +455,14 @@ class ClusterSimulator {
   /// Pending, consumed by Run.
   std::vector<DegradeEvent> degrade_schedule_;
   std::vector<PendingRetry> pending_retries_;
-  /// Every completion harvested so far, in harvest order: the one copy of
-  /// each finished request's timing, which Run() finalizes from.
-  std::vector<serving::RequestTiming> timings_;
+  /// The latency samples of every completion harvested so far, reserved by
+  /// Run() for one per trace request.
+  LatencySamples samples_;
   /// Harvest's scratch: a replica's outboxes, taken by swap so their
   /// storage cycles between the fleet and the schedulers.
   std::vector<serving::RequestTiming> harvest_done_;
   std::vector<serving::PrefillHandoff> harvest_handoffs_;
-  /// Requests that completed a KV migration (for the interference-free
-  /// decode-TPOT percentile split).  Membership tests only — never iterated.
-  std::unordered_set<std::uint64_t> migrated_ids_;
-  /// Visible stalls, sample pool.
+  /// Visible stalls, one per landed migration.
   std::vector<double> migration_seconds_;
   /// Fleet-wide TTFT/TPOT windows behind the ttft_p99_window /
   /// tpot_p99_window metric gauges, fed only while metrics are attached;

@@ -9,12 +9,10 @@
 
 namespace liquid::cluster {
 
-PercentileTriple SummarizePercentiles(std::span<const double> values) {
-  // One copy; p99 first, then p95 and p50 select below it.
-  std::vector<double> scratch(values.begin(), values.end());
+PercentileTriple SummarizePercentiles(std::span<double> values) {
   static constexpr double kRanks[] = {99, 95, 50};
   double out[3];
-  PercentilesInPlace(scratch, kRanks, out);
+  PercentilesInPlace(values, kRanks, out);
   PercentileTriple t;
   t.p99 = out[0];
   t.p95 = out[1];
@@ -22,21 +20,15 @@ PercentileTriple SummarizePercentiles(std::span<const double> values) {
   return t;
 }
 
-void FinalizeFleetStats(const std::vector<serving::RequestTiming>& timings,
-                        FleetStats& stats) {
-  double first_arrival = 0, last_finish = 0;
-  for (std::size_t i = 0; i < timings.size(); ++i) {
-    const serving::RequestTiming& t = timings[i];
-    first_arrival = i == 0 ? t.arrival : std::min(first_arrival, t.arrival);
-    last_finish = std::max(last_finish, t.finish);
-  }
-  const serving::LatencySamples samples =
-      serving::CollectLatencySamples(timings);
+void FinalizeFleetStats(LatencySamples& samples, FleetStats& stats) {
+  const double first_arrival = samples.first_arrival;
+  const double last_finish = samples.last_finish;
   stats.generated_tokens = samples.generated_tokens;
   stats.ttft = SummarizePercentiles(samples.ttft);
   stats.tpot = SummarizePercentiles(samples.tpot);
   stats.e2e = SummarizePercentiles(samples.e2e);
-  stats.span_seconds = timings.empty() ? 0 : last_finish - first_arrival;
+  stats.disagg.migrated_tpot = SummarizePercentiles(samples.migrated_tpot);
+  stats.span_seconds = last_finish - first_arrival;
   stats.throughput_tokens_per_s =
       stats.span_seconds > 0 ? stats.generated_tokens / stats.span_seconds : 0;
 
@@ -151,7 +143,7 @@ void PrintFleetStats(const FleetStats& stats) {
     totals.AddRow({"retries exhausted",
                    std::to_string(stats.retries_exhausted)});
   }
-  totals.AddRow({"wasted tokens (kills)",
+  totals.AddRow({"wasted tokens (lost + import OOM)",
                  WithCommas(static_cast<long long>(stats.wasted_tokens))});
   if (stats.degraded_replicas > 0) {
     totals.AddRow({"degraded replicas",

@@ -1,9 +1,11 @@
 #pragma once
-// Fleet-level serving metrics: the per-request timings every replica records
-// are pooled here into the percentiles operators put SLOs on — p50/p95/p99
-// TTFT, TPOT, and end-to-end latency — plus per-replica utilization and the
-// outcome counters whose conservation laws CheckFleetInvariants states once.
+// Fleet-level serving metrics: each completion's latency samples are added
+// here as the fleet harvests it (LatencySamples), then selected in place into
+// the percentiles operators put SLOs on — p50/p95/p99 TTFT, TPOT, and
+// end-to-end latency — plus per-replica utilization and the outcome counters
+// whose conservation laws CheckFleetInvariants states once.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -24,10 +26,44 @@ struct PercentileTriple {
   double p99 = 0;
 };
 
-/// Pools samples into the three-point summary (shared by the fleet latency
-/// report and the disagg migration/TPOT splits).
-[[nodiscard]] PercentileTriple SummarizePercentiles(
-    std::span<const double> values);
+/// Selects the three-point summary in place (p99, then p95 and p50 below
+/// it), reordering `values`; shared by the fleet latency report and the
+/// disagg migration/TPOT splits.
+[[nodiscard]] PercentileTriple SummarizePercentiles(std::span<double> values);
+
+/// What a fleet keeps of its finished requests: the exact latency doubles
+/// its percentiles select from (so they stay bit-identical to a sort of
+/// every timing) and the span bounds, added one completion at a time at
+/// harvest.  Nothing else per request is kept.
+struct LatencySamples {
+  std::vector<double> ttft, tpot, e2e;
+  /// TPOT of completions whose request ever landed a KV migration.
+  std::vector<double> migrated_tpot;
+  double generated_tokens = 0;
+  double first_arrival = 0;  ///< earliest arrival added (0 while empty)
+  double last_finish = 0;    ///< latest finish added (0 while empty)
+
+  /// Room for `completions` more without regrowth (one per request).
+  void Reserve(std::size_t completions) {
+    ttft.reserve(ttft.size() + completions);
+    tpot.reserve(tpot.size() + completions);
+    e2e.reserve(e2e.size() + completions);
+  }
+  /// Adds one finished request.  The one place the TPOT-eligibility rule
+  /// lives: a TPOT needs more than one generated token.
+  void Add(const serving::RequestTiming& t) {
+    first_arrival =
+        ttft.empty() ? t.arrival : std::min(first_arrival, t.arrival);
+    last_finish = std::max(last_finish, t.finish);
+    ttft.push_back(t.Ttft());
+    e2e.push_back(t.EndToEnd());
+    if (t.generated > 1) {
+      tpot.push_back(t.Tpot());
+      if (t.migrated) migrated_tpot.push_back(t.Tpot());
+    }
+    generated_tokens += static_cast<double>(t.generated);
+  }
+};
 
 /// One replica's contribution, captured when the run finishes (replicas that
 /// were scaled down mid-run keep their entry, marked inactive).
@@ -85,8 +121,10 @@ struct DisaggStats {
   /// conservation invariant extends to in-migration requests).
   std::size_t in_migration = 0;
   PercentileTriple migration_seconds;  ///< visible post-prefill stall
-  /// TPOT of migrated requests: their decode steps ran on a pool no prefill
-  /// ever interrupts (the interference-free tail disaggregation buys).
+  /// TPOT of every request that ever landed a KV migration on a live decode
+  /// replica, through retries and import OOMs (a handoff decoded locally on
+  /// its prefill replica never counts): decode steps on a pool no prefill
+  /// interrupts, the interference-free tail disaggregation buys.
   PercentileTriple migrated_tpot;
 };
 
@@ -200,10 +238,10 @@ struct FleetStats {
 [[nodiscard]] std::vector<std::string> CheckFleetInvariants(
     const FleetStats& stats);
 
-/// Pools per-request timings into fleet percentiles and fills the derived
-/// fields (span, throughput, per-replica utilization) of `stats`.
-void FinalizeFleetStats(const std::vector<serving::RequestTiming>& timings,
-                        FleetStats& stats);
+/// Selects the fleet percentiles (ttft, tpot, e2e, disagg.migrated_tpot) in
+/// place on `samples`, reordering them, and fills the derived fields (span,
+/// throughput, per-replica totals, billing and utilization) of `stats`.
+void FinalizeFleetStats(LatencySamples& samples, FleetStats& stats);
 
 /// Renders the fleet summary (and per-replica table) to stdout.
 void PrintFleetStats(const FleetStats& stats);

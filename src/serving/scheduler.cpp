@@ -192,6 +192,7 @@ void ContinuousBatchScheduler::Retire(const Running& done) {
                            : stats_.simulated_seconds;
   timing.finish = stats_.simulated_seconds;
   timing.generated = done.request.progress + done.generated;
+  timing.migrated = done.request.migrated;
   if (trace_ != nullptr) {
     trace_->Instant(obs::TraceEventType::kComplete, timing.finish, trace_pid_,
                     obs::kTidLifecycle, timing.id,

@@ -94,9 +94,13 @@ struct Request {
   /// KV already imported into this scheduler's pool: admission skips both
   /// the allocation and the prefill charge (decode pool).
   bool kv_migrated = false;
-  /// Retry identity, carried unchanged through every residency: the failed
-  /// attempts this request has survived, and the conversation key decode
-  /// placement keeps sticky.  The scheduler never reads them.
+  /// Retry identity, carried unchanged through every residency: whether
+  /// some attempt landed a KV migration on a live decode replica (unlike
+  /// kv_migrated, sticky through import OOMs and retries; Retire copies it
+  /// into RequestTiming), the failed attempts this request has survived, and
+  /// the conversation key decode placement keeps sticky.  The scheduler
+  /// never reads them.
+  bool migrated = false;
   std::uint32_t attempt = 0;
   std::uint64_t session = 0;
 
@@ -115,6 +119,7 @@ struct Request {
     r.prompt_tokens = timed.prompt_tokens;
     r.max_new_tokens = timed.max_new_tokens;
     r.arrival = timed.arrival_seconds;
+    r.migrated = timed.migrated;
     r.attempt = timed.attempt;
     r.session = timed.session;
     r.prefix = timed.prefix;
@@ -132,6 +137,7 @@ struct Request {
     r.prompt_tokens = prompt_tokens - progress;
     r.max_new_tokens = max_new_tokens + progress;
     r.arrival = arrival;
+    r.migrated = migrated;
     r.attempt = attempt;
     r.session = session;
     r.prefix = prefix;
@@ -186,9 +192,6 @@ class ContinuousBatchScheduler {
                            std::size_t max_batch = 256);
 
   void Submit(Request request);
-  void SubmitTimed(const TimedRequest& request) {
-    Submit(Request::FromTimed(request));
-  }
 
   /// Lands a migrated-in continuation: imports its KV into this pool and
   /// queues the request with the import already paid for.  Returns false

@@ -6,8 +6,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "util/stats.hpp"
-
 namespace liquid::serving {
 namespace {
 
@@ -182,37 +180,6 @@ std::vector<TimedRequest> GenerateMultiTenantTrace(
                          : a.id < b.id;
             });
   return merged;
-}
-
-LatencySamples CollectLatencySamples(
-    const std::vector<RequestTiming>& timings) {
-  LatencySamples samples;
-  samples.ttft.reserve(timings.size());
-  samples.e2e.reserve(timings.size());
-  for (const RequestTiming& t : timings) {
-    samples.ttft.push_back(t.Ttft());
-    if (t.generated > 1) samples.tpot.push_back(t.Tpot());
-    samples.e2e.push_back(t.EndToEnd());
-    samples.generated_tokens += static_cast<double>(t.generated);
-  }
-  return samples;
-}
-
-LatencyReport SummarizeTimings(const std::vector<RequestTiming>& timings,
-                               double span_seconds) {
-  LatencyReport report;
-  report.count = timings.size();
-  if (timings.empty()) return report;
-  const LatencySamples samples = CollectLatencySamples(timings);
-  report.ttft_p50 = Percentile(samples.ttft, 50);
-  report.ttft_p99 = Percentile(samples.ttft, 99);
-  report.tpot_p50 = Percentile(samples.tpot, 50);
-  report.tpot_p99 = Percentile(samples.tpot, 99);
-  report.e2e_p50 = Percentile(samples.e2e, 50);
-  report.e2e_p99 = Percentile(samples.e2e, 99);
-  report.throughput_tokens_per_s =
-      span_seconds > 0 ? samples.generated_tokens / span_seconds : 0;
-  return report;
 }
 
 }  // namespace liquid::serving

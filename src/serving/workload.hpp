@@ -1,11 +1,12 @@
 #pragma once
-// Workload generation and latency metrics for serving experiments.
+// Workload generation and per-request timing for serving experiments.
 //
 // The paper evaluates fixed-length workloads (1024/512); production traces
 // are bursty.  This module generates Poisson-arrival request traces with
-// configurable length distributions and summarizes per-request latency into
-// the metrics operators actually watch: TTFT (time to first token), TPOT
-// (time per output token), and end-to-end latency percentiles.
+// configurable length distributions, and defines the per-request timing
+// behind the metrics operators actually watch: TTFT (time to first token),
+// TPOT (time per output token), and end-to-end latency, which
+// cluster/fleet_stats.hpp pools into percentiles.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,6 +70,11 @@ struct TimedRequest {
   /// after its replica was killed carries attempt+1 (it restarts from the
   /// original prompt — generated-but-undelivered tokens are wasted work).
   std::uint32_t attempt = 0;
+  /// Set on a retry whose earlier attempt landed a KV migration on a live
+  /// decode replica (false in a generated trace).  Carried like `attempt`,
+  /// so the request counts toward DisaggStats::migrated_tpot wherever its
+  /// last attempt completes.
+  bool migrated = false;
   /// Block-hash signature of the prompt (prefix-cache-aware placement).
   PrefixSignature prefix = {};
 };
@@ -118,13 +124,16 @@ struct TenantConfig {
 std::vector<TimedRequest> GenerateMultiTenantTrace(
     const std::vector<TenantConfig>& tenants, std::uint64_t seed);
 
-/// One finished request's timing.
+/// One finished request's timing; a fleet adds it to its latency samples
+/// at harvest and keeps no copy.
 struct RequestTiming {
   std::uint64_t id = 0;
   double arrival = 0;
   double first_token = 0;  ///< completion time of the first generated token
   double finish = 0;
   std::size_t generated = 0;
+  /// Some attempt of the request landed a KV migration (Request::migrated).
+  bool migrated = false;
 
   [[nodiscard]] double Ttft() const { return first_token - arrival; }
   [[nodiscard]] double Tpot() const {
@@ -134,25 +143,5 @@ struct RequestTiming {
   }
   [[nodiscard]] double EndToEnd() const { return finish - arrival; }
 };
-
-/// Per-metric samples pooled from finished requests — the one place the
-/// TPOT-eligibility rule (needs >1 generated token) lives, shared by the
-/// single-replica LatencyReport and the fleet-level FleetStats.
-struct LatencySamples {
-  std::vector<double> ttft, tpot, e2e;
-  double generated_tokens = 0;
-};
-LatencySamples CollectLatencySamples(const std::vector<RequestTiming>& timings);
-
-struct LatencyReport {
-  std::size_t count = 0;
-  double ttft_p50 = 0, ttft_p99 = 0;
-  double tpot_p50 = 0, tpot_p99 = 0;
-  double e2e_p50 = 0, e2e_p99 = 0;
-  double throughput_tokens_per_s = 0;
-};
-
-LatencyReport SummarizeTimings(const std::vector<RequestTiming>& timings,
-                               double span_seconds);
 
 }  // namespace liquid::serving

@@ -333,6 +333,82 @@ TEST(DisaggTest, RequestsKeepSessionAndAttemptThroughRetriesAndHandoffs) {
   }
 }
 
+TEST(DisaggTest, MigratedTpotCountsEveryRequestThatLandedAMigration) {
+  // disagg.migrated_tpot pools the TPOT of every completed request that ever
+  // landed a KV migration on a live decode replica, wherever its last
+  // attempt ran.  Each scenario's fleet completes every request it is
+  // given, so "all of them count" is migrated_tpot == tpot, bit for bit,
+  // and "none counts" is an all-zero migrated_tpot.
+  const auto request = [](std::uint64_t id, std::size_t prompt,
+                          std::size_t max_new) {
+    serving::TimedRequest r;
+    r.id = id;
+    r.session = id;
+    r.prompt_tokens = prompt;
+    r.max_new_tokens = max_new;
+    return r;
+  };
+  const auto expect_same = [](const PercentileTriple& a,
+                              const PercentileTriple& b) {
+    EXPECT_EQ(a.p50, b.p50);
+    EXPECT_EQ(a.p95, b.p95);
+    EXPECT_EQ(a.p99, b.p99);
+  };
+  DisaggConfig disagg;
+  disagg.interconnect.bandwidth_gb_per_s = 400.0;
+  {
+    SCOPED_TRACE("landed, killed on its decode replica, completed on retry");
+    // The retry finds no decode replica alive and decodes locally on the
+    // prefill replica; its earlier landing still counts.
+    ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
+    sim.AddReplica(DisaggReplica(ReplicaRole::kPrefill, 2048));
+    sim.AddReplica(DisaggReplica(ReplicaRole::kDecode, 2048));
+    sim.ScheduleKill({1.0, 1});
+    const FleetStats s = sim.Run({request(0, 1024, 400)});
+    EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
+    EXPECT_EQ(s.disagg.migrated_requests, 1u);
+    EXPECT_EQ(s.lost_requests, 1u);
+    EXPECT_EQ(s.retried_requests, 1u);
+    EXPECT_EQ(s.disagg.local_decode_fallbacks, 1u);
+    EXPECT_EQ(s.replicas[0].stats.completed, 1u);
+    EXPECT_GT(s.tpot.p50, 0.0);
+    expect_same(s.disagg.migrated_tpot, s.tpot);
+  }
+  {
+    SCOPED_TRACE("handoff decoded locally on its prefill replica");
+    ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
+    sim.AddReplica(DisaggReplica(ReplicaRole::kPrefill, 2048));
+    sim.AddReplica(DisaggReplica(ReplicaRole::kDecode, 2048));
+    sim.ScheduleKill({0.0, 1});
+    const FleetStats s = sim.Run({request(0, 1024, 64)});
+    EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
+    EXPECT_EQ(s.disagg.prefill_handoffs, 1u);
+    EXPECT_EQ(s.disagg.local_decode_fallbacks, 1u);
+    EXPECT_EQ(s.disagg.migrated_requests, 0u);
+    EXPECT_EQ(s.completed, 1u);
+    EXPECT_GT(s.tpot.p50, 0.0);
+    expect_same(s.disagg.migrated_tpot, PercentileTriple{});
+  }
+  {
+    SCOPED_TRACE("landed import that ran out of memory");
+    // Both prefills hand off at once and both plan onto D2, whose pool
+    // holds one of the two KVs: the second landing finds it taken,
+    // recomputes on D2 after the first retires, and still counts.
+    ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
+    sim.AddReplica(DisaggReplica(ReplicaRole::kPrefill, 2048));
+    sim.AddReplica(DisaggReplica(ReplicaRole::kPrefill, 2048));
+    sim.AddReplica(DisaggReplica(ReplicaRole::kDecode, 200));
+    const FleetStats s =
+        sim.Run({request(0, 2048, 32), request(1, 2000, 48)});
+    EXPECT_EQ(CheckFleetInvariants(s), std::vector<std::string>{});
+    EXPECT_EQ(s.disagg.migrated_requests, 2u);
+    EXPECT_EQ(s.disagg.import_ooms, 1u);
+    EXPECT_EQ(s.replicas[2].stats.completed, 2u);
+    EXPECT_NE(s.tpot.p50, s.tpot.p99);  // two distinct TPOTs
+    expect_same(s.disagg.migrated_tpot, s.tpot);
+  }
+}
+
 TEST(DisaggTest, BackoffDelaysRetriesButLosesNothing) {
   RetryPolicy retry;
   retry.base_backoff_seconds = 0.25;

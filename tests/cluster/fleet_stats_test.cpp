@@ -1,6 +1,5 @@
-// SummarizePercentiles copies its samples once and selects p99, then p95 and
-// p50 below it; every result must be the double a separate Percentile call
-// returns.  CheckFleetInvariants names each broken law, and only those; a
+// SummarizePercentiles selects p99, then p95 and p50 below it, in place;
+// every result must be the double a separate Percentile call returns.  CheckFleetInvariants names each broken law, and only those; a
 // report that breaks several names them all, in the order of the laws.
 
 #include "cluster/fleet_stats.hpp"
@@ -20,7 +19,8 @@ namespace {
 
 void ExpectBitEqual(const std::vector<double>& values, const std::string& what) {
   SCOPED_TRACE(what + " n=" + std::to_string(values.size()));
-  const PercentileTriple t = SummarizePercentiles(values);
+  std::vector<double> scratch = values;
+  const PercentileTriple t = SummarizePercentiles(scratch);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(t.p50),
             std::bit_cast<std::uint64_t>(Percentile(values, 50)));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(t.p95),

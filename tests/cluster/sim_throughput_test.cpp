@@ -100,7 +100,8 @@ TEST(SimThroughputTest, JsonCarriesTheMeter) {
 TEST(SimThroughputTest, HandBuiltStatsStayZero) {
   // FinalizeFleetStats does not invent throughput numbers; only Run meters.
   FleetStats stats;
-  FinalizeFleetStats({}, stats);
+  LatencySamples samples;
+  FinalizeFleetStats(samples, stats);
   EXPECT_EQ(stats.sim_throughput.events_processed, 0u);
   EXPECT_EQ(stats.sim_throughput.wall_seconds, 0.0);
 }

@@ -58,32 +58,14 @@ TEST(WorkloadTest, TimingDerivedMetrics) {
   EXPECT_DOUBLE_EQ(t.EndToEnd(), 2.5);
 }
 
-TEST(WorkloadTest, SummaryPercentiles) {
-  std::vector<RequestTiming> timings;
-  for (int i = 1; i <= 100; ++i) {
-    RequestTiming t;
-    t.arrival = 0;
-    t.first_token = 0.01 * i;
-    t.finish = t.first_token + 1.0;
-    t.generated = 11;
-    timings.push_back(t);
-  }
-  const LatencyReport rep = SummarizeTimings(timings, 10.0);
-  EXPECT_EQ(rep.count, 100u);
-  EXPECT_NEAR(rep.ttft_p50, 0.505, 0.01);
-  EXPECT_NEAR(rep.ttft_p99, 0.99, 0.011);
-  EXPECT_NEAR(rep.tpot_p50, 0.1, 1e-9);
-  EXPECT_NEAR(rep.throughput_tokens_per_s, 110.0, 1e-6);
-}
-
 TEST(WorkloadTest, SchedulerHonorsArrivals) {
   const auto hw = simgpu::HardwareSpec::H800();
   const ServingEngine engine(hw, SystemPreset::LiquidServe(),
                              LlmConfig::Llama2_7B());
   ContinuousBatchScheduler sched(engine, 4096, 16);
   // One immediate request and one far in the future.
-  sched.SubmitTimed({0, 0.0, 32, 4});
-  sched.SubmitTimed({1, 100.0, 32, 4});
+  sched.Submit(Request::FromTimed({0, 0.0, 32, 4}));
+  sched.Submit(Request::FromTimed({1, 100.0, 32, 4}));
   (void)sched.RunToCompletion();
   ASSERT_EQ(sched.completions().size(), 2u);
   const auto& late = sched.completions().back();
@@ -105,16 +87,25 @@ TEST(WorkloadTest, EndToEndTraceThroughScheduler) {
   cfg.prompt_max = 128;
   cfg.output_min = 8;
   cfg.output_max = 32;
-  for (const auto& r : GenerateTrace(cfg, 42)) sched.SubmitTimed(r);
+  const std::vector<TimedRequest> trace = GenerateTrace(cfg, 42);
+  for (const TimedRequest& r : trace) sched.Submit(Request::FromTimed(r));
   const SchedulerStats stats = sched.RunToCompletion();
   EXPECT_EQ(stats.completed, 24u);
-  const LatencyReport rep =
-      SummarizeTimings(sched.completions(), stats.simulated_seconds);
-  EXPECT_EQ(rep.count, 24u);
-  EXPECT_GT(rep.ttft_p50, 0);
-  EXPECT_GE(rep.ttft_p99, rep.ttft_p50);
-  EXPECT_GT(rep.tpot_p50, 0);
-  EXPECT_GT(rep.throughput_tokens_per_s, 0);
+  ASSERT_EQ(sched.completions().size(), 24u);
+  double generated = 0;
+  for (const RequestTiming& t : sched.completions()) {
+    const TimedRequest& r = trace[t.id];
+    EXPECT_EQ(t.arrival, r.arrival_seconds);
+    EXPECT_GT(t.Ttft(), 0);
+    EXPECT_GE(t.finish, t.first_token);
+    EXPECT_EQ(t.generated, r.max_new_tokens);
+    if (t.generated > 1) {
+      EXPECT_GT(t.Tpot(), 0);
+    }
+    generated += static_cast<double>(t.generated);
+  }
+  EXPECT_EQ(stats.generated_tokens, generated);
+  EXPECT_GT(stats.TokensPerSecond(), 0);
 }
 
 }  // namespace
